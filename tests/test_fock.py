@@ -73,6 +73,36 @@ def test_expm_apply_against_dense():
     got = fock.expm_apply(gen, vec)
     np.testing.assert_allclose(got, scipy_expm(gen) @ vec, atol=1e-11)
 
+    # the network's sparse generators at d = 8: single stages, the merged
+    # A/B mix, and at lam = 12 1-norms near 156, which take 16 Taylor steps
+    dims = (8, 8, 8)
+    gens = fock._generators(dims)
+    state = fock.tensor(fock.coherent_fock(0.4 - 0.2j, 8),
+                        fock.vacuum_fock((8, 8))).amplitudes
+    block = rng.normal(size=(8 ** 3, 3)) + 1j * rng.normal(size=(8 ** 3, 3))
+    block /= np.linalg.norm(block, axis=0)
+    norms = []
+    for lam in (0.8, 4.0, 12.0):
+        s1, s2, s3 = (st.strength
+                      for st in network.network_from_lambda(lam).stages)
+        mats = [gens["C"] * s1, gens["A"] * s2, gens["C"] * s3,
+                gens["A"] * (s2 * math.cosh(s3))
+                + gens["B"] * (s2 * math.sinh(s3))]
+        for mat in mats:
+            norms.append(float(abs(mat).sum(axis=0).max()))
+            dense = scipy_expm(mat.toarray())
+            np.testing.assert_allclose(fock.expm_apply(mat, state),
+                                       dense @ state, atol=1e-12)
+            np.testing.assert_allclose(fock.expm_apply(mat, block),
+                                       dense @ block, atol=1e-12)
+    assert max(norms) > 150.0
+
+    # the zero generator returns a copy of the input, unchanged
+    zero = 0.0 * gens["A"]
+    got = fock.expm_apply(zero, block)
+    np.testing.assert_array_equal(got, block)
+    assert got is not block
+
 
 def test_operator_dag_and_apply():
     ann = fock.annihilation_matrix(6)
@@ -139,6 +169,21 @@ def test_leakage_warning_on_tight_truncation():
     spec = network.network_from_lambda(6.0)
     with pytest.warns(TruncationWarning):
         network.run_cloner(0j, spec, backend="fock", truncation=10)
+
+
+def test_merged_path_checks_leakage_after_preparation():
+    # mode a one level below the guard band: the preparation squeeze alone
+    # pushes 60% of the state into the top levels
+    d = 10
+    near_edge = np.zeros(d, np.complex128)
+    near_edge[d - 3] = 1.0
+    state = fock.tensor(fock.vacuum_fock((d,)),
+                        fock.FockVector((d,), near_edge),
+                        fock.vacuum_fock((d,)))
+    assert state.leakage() == 0.0
+    spec = network.network_from_lambda(6.0)
+    with pytest.raises(TruncationOverflowError, match="after preparation"):
+        fock.apply_network_fock(spec, state)
 
 
 def test_smeared_vacuum_is_half_photon_thermal():
