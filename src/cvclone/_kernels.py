@@ -1,12 +1,7 @@
-"""Numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numeric kernels for displacement elements, outcome densities and mixtures.
 
-The numba path compiles scalar recurrences; the numpy path vectorizes the same
-recurrences over the batch axis. They are independent implementations and the
-test suite cross-checks them against each other and against dense matrix
-exponentials.
-
-Set ``CVCLONE_NO_NUMBA=1`` before import to force the numpy path (also the
-automatic fallback when numba is unavailable).
+Each kernel is vectorized with numpy over the batch axis; the test suite checks
+them against explicit loops and against dense matrix exponentials.
 
 The central recurrence builds displacement-operator matrix elements
 ``<m|D(z)|n>`` column by column without factorials:
@@ -18,26 +13,11 @@ The central recurrence builds displacement-operator matrix elements
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("CVCLONE_NO_NUMBA", "").strip().lower()
-_disabled = _flag not in ("", "0", "false")
 
-NUMBA_ENABLED = False
-if not _disabled:
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-
-# ---------------------------------------------------------------- numpy path
-
-def displacement_columns_batch_numpy(zs, dim, ncols):
+def displacement_columns_batch(zs, dim, ncols):
     """<m|D(z)|n> for m < dim, n < ncols, for every z in the batch.
 
     Returns a (len(zs), dim, ncols) complex array.
@@ -62,99 +42,31 @@ def displacement_columns_batch_numpy(zs, dim, ncols):
     return out
 
 
-def povm_grid_values_numpy(zs, s_dag, rho, weights, prefactor):
+def povm_grid_values(zs, s_dag, rho, weights, prefactor):
     """Outcome densities prefactor * sum_n weights[n] <u_n|rho|u_n>.
 
-    u_n = s_dag @ D(z)|n>, evaluated for every z in the batch.
+    u_n = s_dag @ D(z)|n>, evaluated for every z in the batch. The squeeze is
+    folded into the state once, M = s_dag^H rho s_dag, so each point costs one
+    batched product of M with the displacement columns.
     """
     dim = s_dag.shape[0]
-    nth = weights.shape[0]
-    cols = displacement_columns_batch_numpy(zs, dim, nth)
-    u = np.einsum("ij,bjn->bin", s_dag, cols)
-    ru = np.einsum("ij,bjn->bin", rho, u)
-    vals = np.einsum("bmn,bmn,n->b", u.conj(), ru, weights).real
+    cols = displacement_columns_batch(zs, dim, weights.shape[0])
+    folded = s_dag.conj().T @ rho @ s_dag
+    vals = np.einsum("bmn,bmn,n->b", cols.conj(), folded @ cols, weights).real
     return prefactor * vals
 
 
-def smear_accumulate_numpy(disp_mats, weights, rho):
-    """sum_k weights[k] * D_k rho D_k^dagger over a batch of displacements."""
-    return np.einsum("b,bij,jk,blk->il", weights, disp_mats, rho,
-                     disp_mats.conj(), optimize=True)
+def smear_accumulate(disp_mats, weights, rho):
+    """sum_k weights[k] * D_k rho D_k^dagger over a batch of displacements.
 
-
-# ---------------------------------------------------------------- numba path
-
-if NUMBA_ENABLED:
-
-    @numba.njit(cache=False)
-    def _disp_fill(z, dim, ncols, out):
-        out[0, 0] = math.exp(-0.5 * (z.real * z.real + z.imag * z.imag))
-        for m in range(1, dim):
-            out[m, 0] = out[m - 1, 0] * z / math.sqrt(float(m))
-        zc = np.conj(z)
-        for n in range(ncols - 1):
-            r = 1.0 / math.sqrt(n + 1.0)
-            out[0, n + 1] = -zc * out[0, n] * r
-            for m in range(1, dim):
-                out[m, n + 1] = (math.sqrt(float(m)) * out[m - 1, n]
-                                 - zc * out[m, n]) * r
-
-    @numba.njit(cache=False)
-    def _disp_batch(zs, dim, ncols):
-        nb = zs.shape[0]
-        out = np.empty((nb, dim, ncols), np.complex128)
-        for b in range(nb):
-            _disp_fill(zs[b], dim, ncols, out[b])
-        return out
-
-    @numba.njit(cache=False)
-    def _povm_grid(zs, s_dag, rho, weights, prefactor):
-        nb = zs.shape[0]
-        dim = s_dag.shape[0]
-        nth = weights.shape[0]
-        res = np.empty(nb, np.float64)
-        cols = np.empty((dim, nth), np.complex128)
-        for b in range(nb):
-            _disp_fill(zs[b], dim, nth, cols)
-            u = s_dag @ cols
-            ru = rho @ u
-            acc = 0.0
-            for n in range(nth):
-                s = 0.0
-                for m in range(dim):
-                    s += (u[m, n].conjugate() * ru[m, n]).real
-                acc += weights[n] * s
-            res[b] = prefactor * acc
-        return res
-
-    @numba.njit(cache=False)
-    def _smear(disp_mats, weights, rho):
-        dim = rho.shape[0]
-        out = np.zeros((dim, dim), np.complex128)
-        for b in range(disp_mats.shape[0]):
-            d = disp_mats[b]
-            out += weights[b] * (d @ rho @ d.conj().T)
-        return out
-
-    def displacement_columns_batch(zs, dim, ncols):
-        return _disp_batch(np.ascontiguousarray(zs, dtype=np.complex128),
-                           dim, ncols)
-
-    def povm_grid_values(zs, s_dag, rho, weights, prefactor):
-        return _povm_grid(np.ascontiguousarray(zs, dtype=np.complex128),
-                          np.ascontiguousarray(s_dag),
-                          np.ascontiguousarray(rho),
-                          np.ascontiguousarray(weights), prefactor)
-
-    def smear_accumulate(disp_mats, weights, rho):
-        return _smear(np.ascontiguousarray(disp_mats),
-                      np.ascontiguousarray(weights),
-                      np.ascontiguousarray(rho))
-
-else:
-    displacement_columns_batch = displacement_columns_batch_numpy
-    povm_grid_values = povm_grid_values_numpy
-    smear_accumulate = smear_accumulate_numpy
+    X_k = weights[k] D_k rho is one batched product; the sum over k is then a
+    single (d, B*d) @ (B*d, d) product of X with the conjugated D_k.
+    """
+    nb, dim, _ = disp_mats.shape
+    left = (weights[:, None, None] * disp_mats) @ rho
+    flat_left = left.transpose(1, 0, 2).reshape(dim, nb * dim)
+    flat_right = disp_mats.conj().transpose(0, 2, 1).reshape(nb * dim, dim)
+    return flat_left @ flat_right
 
 
 def displacement_columns(z, dim, ncols):

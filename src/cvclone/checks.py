@@ -187,9 +187,10 @@ def _fock_moments(amps: np.ndarray, dims: tuple):
         quads.append((op - op.conj().T) * (-0.5j))
     vecs = [q @ amps for q in quads]
     mean = np.array([float(np.real(np.vdot(amps, v))) for v in vecs])
-    cov = np.empty((6, 6))
-    for i in range(6):
-        for j in range(i, 6):
+    n = 2 * len(dims)
+    cov = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
             cov[i, j] = cov[j, i] = float(np.real(np.vdot(vecs[i], vecs[j])))
     return mean, cov - np.outer(mean, mean)
 
@@ -280,12 +281,10 @@ def _check_clone_symmetry(truncation: int):
 
 # --------------------------------------------------------- gains consistency
 
-def _check_gains(corrupt: bool):
+def _check_gains():
     worst, bad = 0.0, None
     for lam in (0.5, 1.0, 2.0, 4.0, 8.0):
         got = network.gains(network.network_from_lambda(lam))
-        if corrupt:
-            got = (got[0] * (1.0 + 2e-6), got[1], got[2])
         expected = (math.cosh(TWIN_BEAM_SQUEEZE - lam) ** 2,
                     math.cosh(2.0 * math.exp(-lam)) ** 2,
                     math.cosh(lam) ** 2)
@@ -301,11 +300,11 @@ def _check_gains(corrupt: bool):
 
 # -------------------------------------------------------------------- runner
 
-def run_all(truncation: int = 25, seed: int = 1234,
-            corrupt_gains: bool = False) -> list:
+def run_all(truncation: int = 25, seed: int = 1234) -> list:
     """Run every check; returns CheckResult entries in a fixed order."""
-    if not 8 <= truncation <= 32:
-        raise InvalidArgumentError("truncation must lie in [8, 32]")
+    lo, hi = network.TRUNCATION_RANGE
+    if not lo <= truncation <= hi:
+        raise InvalidArgumentError(f"truncation must lie in [{lo}, {hi}]")
     plan = [
         ("commutator-algebra", _check_commutators, (truncation,), None),
         ("bch-identity", _check_bch, (truncation,),
@@ -318,7 +317,7 @@ def run_all(truncation: int = 25, seed: int = 1234,
          "needs truncation >= 12" if truncation < 12 else None),
         ("clone-symmetry", _check_clone_symmetry, (truncation,),
          "needs truncation >= 12" if truncation < 12 else None),
-        ("gains-consistency", _check_gains, (corrupt_gains,), None),
+        ("gains-consistency", _check_gains, (), None),
     ]
     results = []
     for name, fn, args, skip in plan:

@@ -3,7 +3,8 @@
 Everything prints or writes deterministic CSV (fixed 12-significant-digit
 scientific notation), so two runs with the same configuration produce
 byte-identical output. Exit codes: 0 success, 1 check failure, 2 invalid
-configuration, 3 I/O problem.
+configuration, 3 I/O problem, 4 internal error (an unexpected exception,
+reported on one stderr line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 _CSV_HEADER = "lambda,G1,G2,G3,var_x,var_y,product,fidelity_c,fidelity_a"
 
@@ -49,22 +51,24 @@ class RunConfig:
     theta: float = None
     grid_n: int = None
     grid_xmax: float = None
-    corrupt_gains: bool = False
 
     def validate(self):
         for name, lo in (("lambda_min", self.lambda_min),
                          ("lambda_max", self.lambda_max), ("lambda", self.lam)):
-            if lo is not None and not 0.0 < lo <= 12.0:
-                raise InvalidArgumentError(f"{name} must lie in (0, 12]")
+            if lo is not None and not 0.0 < lo <= network.LAMBDA_CAP:
+                raise InvalidArgumentError(
+                    f"{name} must lie in (0, {network.LAMBDA_CAP:g}]")
         if (self.lambda_min is not None and self.lambda_max is not None
                 and self.lambda_min > self.lambda_max):
             raise InvalidArgumentError("lambda-min exceeds lambda-max")
         if self.steps < 1:
             raise InvalidArgumentError("steps must be at least 1")
-        if not 8 <= self.truncation <= 32:
-            raise InvalidArgumentError("truncation must lie in [8, 32]")
-        if not 0.25 <= self.sigma <= 4.0:
-            raise InvalidArgumentError("sigma must lie in [0.25, 4]")
+        lo, hi = network.TRUNCATION_RANGE
+        if not lo <= self.truncation <= hi:
+            raise InvalidArgumentError(f"truncation must lie in [{lo}, {hi}]")
+        lo, hi = network.SIGMA_RANGE
+        if not lo <= self.sigma <= hi:
+            raise InvalidArgumentError(f"sigma must lie in [{lo:g}, {hi:g}]")
         if self.backend not in ("gaussian", "fock"):
             raise InvalidArgumentError("backend must be gaussian or fock")
         if self.grid_n is not None and self.grid_n < 2:
@@ -146,8 +150,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for key, value in from_file.items():
         setattr(cfg, key, value)
     for key in ("lambda_min", "lambda_max", "steps", "lam", "alpha", "sigma",
-                "backend", "truncation", "seed", "out", "phi", "theta",
-                "corrupt_gains"):
+                "backend", "truncation", "seed", "out", "phi", "theta"):
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
@@ -268,8 +271,7 @@ def cmd_povm(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    results = checks.run_all(truncation=cfg.truncation, seed=cfg.seed,
-                             corrupt_gains=cfg.corrupt_gains)
+    results = checks.run_all(truncation=cfg.truncation, seed=cfg.seed)
     failed = False
     for res in results:
         print(f"{res.name:<22} {res.status.upper():<5} "
@@ -290,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key=value file; flags override it")
         p.add_argument("--truncation", type=int, default=None,
-                       help="Fock levels per mode, 8..32")
+                       help="Fock levels per mode, %d..%d"
+                       % network.TRUNCATION_RANGE)
         p.add_argument("--seed", type=int, default=None)
 
     p_sweep = sub.add_parser(
@@ -330,9 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify)
-    p_verify.add_argument("--corrupt-gains", dest="corrupt_gains",
-                          action="store_const", const=True, default=None,
-                          help=argparse.SUPPRESS)
     return parser
 
 
@@ -342,17 +342,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cfg = _resolve_config(args)
-    except (InvalidArgumentError, DomainError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     dispatch = {"sweep": cmd_sweep, "clone": cmd_clone,
                 "povm": cmd_povm, "verify": cmd_verify}
     try:
+        cfg = _resolve_config(args)
         return dispatch[cfg.command](cfg)
     except (InvalidArgumentError, DomainError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -360,6 +353,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

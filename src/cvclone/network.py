@@ -35,6 +35,8 @@ from .fock import TWIN_BEAM_SQUEEZE
 
 LAMBDA_CAP = 12.0
 SIGMA_RANGE = (0.25, 4.0)
+# Fock levels per mode accepted by the CLI and the verification suite.
+TRUNCATION_RANGE = (8, 32)
 
 Stage = namedtuple("Stage", "kind modes strength")
 
@@ -114,26 +116,7 @@ def _sigma_prep_fock_raw(sigma: float, truncation: int, nodes: int) -> np.ndarra
 @functools.lru_cache(maxsize=32)
 def _sigma_prep_cached(sigma: float, truncation: int, nodes: int):
     chi = _sigma_prep_fock_raw(sigma, truncation, nodes)
-    vec = fock.FockVector((truncation, truncation), chi.ravel())
-    # measured first and second quadrature moments, for the moment-matched
-    # Gaussian twin of the numeric state
-    d = truncation
-    ann = np.diag(np.sqrt(np.arange(1.0, d)), 1)
-    eye = np.eye(d)
-    ops = []
-    for low in (np.kron(ann, eye), np.kron(eye, ann)):
-        ops.append(0.5 * (low + low.conj().T))            # X
-        ops.append(0.5j * (low.conj().T - low))           # Y
-    flat = chi.ravel()
-    mean = np.array([np.real(flat.conj() @ (op @ flat)) for op in ops])
-    cov = np.empty((4, 4))
-    vecs = [op @ flat for op in ops]
-    for i in range(4):
-        for j in range(4):
-            sym = 0.5 * (np.vdot(vecs[i], vecs[j]) + np.vdot(vecs[j], vecs[i]))
-            cov[i, j] = np.real(sym) - mean[i] * mean[j]
-    state = gaussian.GaussianState(2, mean, 0.5 * (cov + cov.T))
-    return vec, state
+    return fock.FockVector((truncation, truncation), chi.ravel())
 
 
 def sigma_prep_covariance(sigma: float) -> np.ndarray:
@@ -141,8 +124,9 @@ def sigma_prep_covariance(sigma: float) -> np.ndarray:
 
     Pure by construction: the X-block eigenvalues are sigma^2/2 and
     sigma^2/8, the Y-block ones their reciprocals over 4, so det(4V) = 1.
-    Validated against the numerically built Fock state (the moment-matched
-    twin converges to this matrix as truncation and node count grow).
+    Validated against the numerically built Fock state (its measured
+    quadrature moments converge to this matrix as truncation and node count
+    grow).
     """
     s2 = float(sigma) ** 2
     cov = np.zeros((4, 4))
@@ -179,19 +163,16 @@ def preparation_state(sigma: float, backend: str = "gaussian",
             chi[n, n] = coeff
             chi /= np.linalg.norm(chi)
             return fock.FockVector((truncation, truncation), chi.ravel())
-        return _sigma_prep_cached(float(sigma), truncation, nodes)[0]
+        return _sigma_prep_cached(float(sigma), truncation, nodes)
     raise InvalidArgumentError(f"unknown backend {backend!r}")
 
 
 def _network_transform(spec: CloningNetworkSpec) -> gaussian.SymplecticTransform:
-    kind_builder = {
-        "A": gaussian.two_mode_squeezer,
-        "C": gaussian.two_mode_squeezer,
-        "B": gaussian.beam_splitter,
-    }
+    # every stage is a pair squeezer: "A" on (b, c), "C" on (a, b)
     total = gaussian.SymplecticTransform(np.eye(6))
     for st in spec.stages:
-        gate = kind_builder[st.kind](3, st.modes[0], st.modes[1], st.strength)
+        gate = gaussian.two_mode_squeezer(3, st.modes[0], st.modes[1],
+                                          st.strength)
         total = gate.compose(total)
     return total
 

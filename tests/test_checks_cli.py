@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cvclone import checks, cli
+from cvclone import checks, cli, network
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -37,8 +37,20 @@ def test_run_all_skips_algebra_checks_at_minimum_truncation():
             assert r.status == "pass", f"{r.name}: {r.detail}"
 
 
-def test_corrupted_gains_are_caught_by_name():
-    results = checks.run_all(truncation=8, corrupt_gains=True)
+@pytest.fixture
+def skewed_gains(monkeypatch):
+    """network.gains with G1 scaled by 1 + 2e-6, far above the check's 1e-12."""
+    exact = network.gains
+
+    def skewed(spec):
+        g1, g2, g3 = exact(spec)
+        return g1 * (1.0 + 2e-6), g2, g3
+
+    monkeypatch.setattr(network, "gains", skewed)
+
+
+def test_wrong_gains_are_caught_by_name(skewed_gains):
+    results = checks.run_all(truncation=8)
     by_name = {r.name: r for r in results}
     bad = by_name["gains-consistency"]
     assert bad.failed
@@ -211,8 +223,8 @@ def test_verify_command_reports_and_skips(capsys):
     assert "gains-consistency" in text
 
 
-def test_verify_corrupt_hook_fails(capsys):
-    code = cli.main(["verify", "--truncation", "8", "--corrupt-gains"])
+def test_verify_fails_on_wrong_gains(skewed_gains, capsys):
+    code = cli.main(["verify", "--truncation", "8"])
     assert code == 1
     text = capsys.readouterr().out
     assert "verification FAILED" in text
@@ -227,6 +239,18 @@ def test_module_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "gains:" in out.stdout
+
+
+def test_unexpected_error_maps_to_exit_four(monkeypatch, capsys):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_clone", broken)
+    code = cli.main(["clone", "--lambda", "1", "--alpha", "0,0"])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
 
 
 def test_argparse_error_maps_to_exit_two():

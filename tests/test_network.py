@@ -107,9 +107,10 @@ def test_quadrature_integral_prep_reduces_to_twin_beam():
 def test_general_width_prep_matches_closed_covariance():
     cov = network.sigma_prep_covariance(1.5)
     assert np.linalg.det(4.0 * cov) == pytest.approx(1.0, abs=1e-12)
-    _, twin = network._sigma_prep_cached(1.5, 24, 61)
-    assert np.abs(twin.mean).max() < 1e-12
-    assert np.abs(twin.cov - cov).max() < 1e-5  # measured 1.4e-7
+    vec = network.preparation_state(1.5, backend="fock", truncation=24)
+    mean, measured = checks._fock_moments(vec.amplitudes, vec.dims)
+    assert np.abs(mean).max() < 1e-12
+    assert np.abs(measured - cov).max() < 1e-5  # measured 1.4e-7
 
 
 def test_general_width_prep_gaussian_branch():
