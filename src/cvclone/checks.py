@@ -64,9 +64,12 @@ def _chain_expm(lam: float, weights: np.ndarray,
     The chain is the pair-squeeze generator restricted to one sector of fixed
     photon difference: real, antisymmetric and tridiagonal, so its
     exponential is orthogonal. diag(i^m) conjugates it into -i times a real
-    symmetric tridiagonal matrix, so the exponential comes from one
-    tridiagonal eigendecomposition instead of a dense scaling-and-squaring
-    run, and only the requested rows are ever formed.
+    symmetric tridiagonal matrix T = Q diag(theta) Q^T, so the exponential
+    comes from one tridiagonal eigendecomposition instead of a dense
+    scaling-and-squaring run, and only the requested rows are ever formed.
+    Entry (r, c) is Re(i^(c-r) (C - iS)) with C = Q cos(lam theta) Q^T and
+    S = Q sin(lam theta) Q^T, which is C, S, -C or -S by (c - r) mod 4, so
+    two real products replace one complex one.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -74,9 +77,13 @@ def _chain_expm(lam: float, weights: np.ndarray,
     if n == 1:
         return np.ones((1, 1))[rows]
     theta, q = eigh_tridiagonal(np.zeros(n), weights)
-    core = (q[rows] * np.exp(-1j * lam * theta)) @ q.T
-    d = 1j ** np.arange(n)
-    return np.real(np.conj(d[rows])[:, None] * core * d[None, :])
+    q_rows = q[rows]
+    cos_part = (q_rows * np.cos(lam * theta)) @ q.T
+    sin_part = (q_rows * np.sin(lam * theta)) @ q.T
+    idx = np.arange(n)
+    shift = (idx[None, :] - idx[rows][:, None]) % 4
+    return (np.where(shift & 1, sin_part, cos_part)
+            * np.where(shift & 2, -1.0, 1.0))
 
 
 def _bch_pad(win: int, lam: float) -> int:
@@ -102,16 +109,19 @@ def _check_bch(truncation: int):
 
         def sector(k, _lam=lam, _pad=pad, _cache=expms):
             # window rows of the sector exponential; the residual is only
-            # read on the window, so the other rows are never needed
-            if k not in _cache:
-                length = _pad - abs(k)
-                na = np.arange(length) + max(k, 0)
-                nb = np.arange(length) - min(k, 0)
+            # read on the window, so the other rows are never needed.
+            # Sector -k is sector k with na and nb swapped: the chain
+            # weights sqrt(na nb) and the window are symmetric in the two,
+            # so each |k| is exponentiated once
+            if abs(k) not in _cache:
+                nb = np.arange(_pad - abs(k))
+                na = nb + abs(k)
                 win_rows = (na < win) & (nb < win)
-                _cache[k] = (na, nb, win_rows,
-                             _chain_expm(_lam, np.sqrt(na[1:] * nb[1:]),
-                                         win_rows))
-            return _cache[k]
+                _cache[abs(k)] = (na, nb, win_rows,
+                                  _chain_expm(_lam, np.sqrt(na[1:] * nb[1:]),
+                                              win_rows))
+            na, nb, win_rows, ek = _cache[abs(k)]
+            return (na, nb, win_rows, ek) if k >= 0 else (nb, na, win_rows, ek)
 
         for k in range(-win, win - 1):
             na, nb, cols, ek = sector(k)
@@ -143,14 +153,16 @@ def _check_unitarity(truncation: int):
     dims = (d,) * 3
     gens = fock._generators(dims)
     spec = network.network_from_lambda(0.8)
-    u = np.eye(d ** 3, dtype=np.complex128)
-    for stage in spec.stages:
-        u = fock.expm_apply(gens[stage.kind] * stage.strength, u)
-    resid = u.conj().T @ u - np.eye(d ** 3)
     keep = np.arange(d) < d - GUARD_BAND
     mask = (keep[:, None, None] & keep[None, :, None]
             & keep[None, None, :]).ravel()
-    worst = float(np.abs(resid[np.ix_(mask, mask)]).max())
+    # entry (i, j) of U^dag U is U[:, i]^dag U[:, j], so the interior block
+    # needs only the interior columns of U
+    u = np.eye(d ** 3, dtype=np.complex128)[:, mask]
+    for stage in spec.stages:
+        u = fock.expm_apply(gens[stage.kind] * stage.strength, u)
+    resid = u.conj().T @ u - np.eye(u.shape[1])
+    worst = float(np.abs(resid).max())
     status = "pass" if worst < 1e-8 else "fail"
     return status, f"max |U^dag U - 1| {worst:.2e} on interior (tol 1e-8)"
 

@@ -3,8 +3,10 @@
 Everything prints or writes deterministic CSV (fixed 12-significant-digit
 scientific notation), so two runs with the same configuration produce
 byte-identical output. Exit codes: 0 success, 1 check failure, 2 invalid
-configuration, 3 I/O problem, 4 internal error (an unexpected exception,
-reported on one stderr line instead of a traceback).
+configuration (including a truncation or grid too coarse for the requested
+run, whose message says what to raise or refine), 3 I/O problem, 4 internal
+error (an unexpected exception, reported on one stderr line instead of a
+traceback).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks, fock, gaussian, measurement, network
-from .errors import DomainError, InvalidArgumentError
+from .errors import (DomainError, GridTooCoarseError, InvalidArgumentError,
+                     TruncationOverflowError)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -283,6 +286,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 # -------------------------------------------------------------------- parser
 
+_ALPHA_HELP = ("input coherent amplitude; write a negative real part as"
+               " --alpha=-0.3,0.6")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvclone",
@@ -305,14 +312,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambda-min", dest="lambda_min", type=float)
     p_sweep.add_argument("--lambda-max", dest="lambda_max", type=float)
     p_sweep.add_argument("--steps", type=int, default=None)
-    p_sweep.add_argument("--alpha", type=_parse_complex, metavar="RE,IM")
+    p_sweep.add_argument("--alpha", type=_parse_complex, metavar="RE,IM",
+                         help=_ALPHA_HELP)
     p_sweep.add_argument("--sigma", type=float, default=None)
     p_sweep.add_argument("--out", help="output CSV path")
 
     p_clone = sub.add_parser("clone", help="single cloning run summary")
     common(p_clone)
     p_clone.add_argument("--lambda", dest="lam", type=float)
-    p_clone.add_argument("--alpha", type=_parse_complex, metavar="RE,IM")
+    p_clone.add_argument("--alpha", type=_parse_complex, metavar="RE,IM",
+                         help=_ALPHA_HELP)
     p_clone.add_argument("--sigma", type=float, default=None)
     p_clone.add_argument("--backend", choices=("gaussian", "fock"))
     p_clone.add_argument("--out", help="optional CSV path")
@@ -328,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_povm.add_argument("--theta", type=float)
     p_povm.add_argument("--grid", type=_parse_grid, metavar="N,XMAX")
     p_povm.add_argument("--alpha", type=_parse_complex, metavar="RE,IM",
-                        help="input coherent amplitude (default 0,0)")
+                        help=_ALPHA_HELP + " (default 0,0)")
     p_povm.add_argument("--out", help="optional output path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
@@ -347,7 +356,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return dispatch[cfg.command](cfg)
-    except (InvalidArgumentError, DomainError) as exc:
+    except (InvalidArgumentError, DomainError, TruncationOverflowError,
+            GridTooCoarseError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

@@ -1,12 +1,16 @@
 """Verification suite wiring and the command-line surface."""
 
+import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.linalg
 
-from cvclone import checks, cli, network
+import cvclone
+from cvclone import checks, cli, fock, network
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -58,6 +62,38 @@ def test_wrong_gains_are_caught_by_name(skewed_gains):
     others = [r for r in results if r.name != "gains-consistency"
               and r.status != "skip"]
     assert all(not r.failed for r in others)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40])
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("lam", [0.3, 1.2])
+def test_chain_expm_matches_dense_expm(n, k, lam):
+    # lengths 1-5 reach every (c - r) mod 4 case of the real-arithmetic form
+    na = np.arange(n) + k
+    nb = np.arange(n)
+    w = np.sqrt(na[1:] * nb[1:])
+    rows = (na < 6) & (nb < 6)
+    chain = np.diag(w, 1) - np.diag(w, -1)
+    dense = scipy.linalg.expm(lam * chain)[rows]
+    got = checks._chain_expm(lam, w, rows)
+    assert got.shape == dense.shape
+    assert np.abs(got - dense).max(initial=0.0) < 1e-13
+
+
+def _scaled(fn):
+    return lambda *args: fn(*args) * (1.0 + 1e-6)
+
+
+def test_bch_check_fails_on_perturbed_sector_exponential(monkeypatch):
+    monkeypatch.setattr(checks, "_chain_expm", _scaled(checks._chain_expm))
+    status, detail = checks._check_bch(12)
+    assert status == "fail", detail
+
+
+def test_unitarity_check_fails_on_perturbed_exponential(monkeypatch):
+    monkeypatch.setattr(fock, "expm_apply", _scaled(fock.expm_apply))
+    status, detail = checks._check_unitarity(12)
+    assert status == "fail", detail
 
 
 def test_run_all_truncation_bounds():
@@ -234,9 +270,15 @@ def test_verify_fails_on_wrong_gains(skewed_gains, capsys):
 
 
 def test_module_entry_point():
+    # the child process must import the same cvclone as this one, installed
+    # or not
+    src = os.path.dirname(os.path.dirname(cvclone.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-m", "cvclone.cli", "clone",
                           "--lambda", "1", "--alpha", "0,0"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "gains:" in out.stdout
 
@@ -251,6 +293,22 @@ def test_unexpected_error_maps_to_exit_four(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in err
+
+
+def test_truncation_overflow_maps_to_exit_two(capsys):
+    code = cli.main(["clone", "--lambda", "8", "--alpha", "2,0",
+                     "--backend", "fock", "--truncation", "8"])
+    assert code == cli.EXIT_BAD_CONFIG == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ")
+    assert "raise truncation" in err
+    assert "internal error" not in err
+
+
+def test_negative_real_alpha_in_equals_form(capsys):
+    code = cli.main(["clone", "--lambda", "3", "--alpha=-0.3,0.6"])
+    assert code == 0
+    assert "clone_c: mean = (-3" in capsys.readouterr().out
 
 
 def test_argparse_error_maps_to_exit_two():
