@@ -325,10 +325,13 @@ def run_all(truncation: int = 25, seed: int = 1234) -> list:
         ("backend-equivalence", _check_backend_equivalence,
          (truncation, seed),
          "needs truncation >= 25" if truncation < 25 else None),
+        # Below these the lam = 6 runs pass the network's own 1e-3 leakage
+        # warning level: at T = 14 the weyl draw-box corners reach 1.2e-3,
+        # and the clone-symmetry input 0.5 warns at T = 13.
         ("weyl-covariance", _check_weyl_covariance, (truncation, seed),
-         "needs truncation >= 12" if truncation < 12 else None),
+         "needs truncation >= 15" if truncation < 15 else None),
         ("clone-symmetry", _check_clone_symmetry, (truncation,),
-         "needs truncation >= 12" if truncation < 12 else None),
+         "needs truncation >= 14" if truncation < 14 else None),
         ("gains-consistency", _check_gains, (), None),
     ]
     results = []

@@ -205,7 +205,9 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 def _expm_dense(mat: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring with a Taylor core.
 
-    No eigendecomposition: truncated generators are non-normal at the edge.
+    The generators exponentiated here are anti-Hermitian, hence normal, so an
+    eigendecomposition would serve as well; the Taylor core keeps
+    scipy.linalg out of the module-level imports.
     """
     norm = float(np.abs(mat).sum(axis=0).max())
     s = max(0, int(math.ceil(math.log2(norm)))) if norm > 1.0 else 0
@@ -416,7 +418,12 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     """Gaussian displacement mixture of a single-mode state.
 
     Integrates D(z) rho D†(z) against the squared kernel |f|^2 on a tensor
-    Gauss-Hermite grid aligned with the Gaussian weight.
+    Gauss-Hermite grid aligned with the Gaussian weight. The grid is symmetric
+    under z -> -z and z -> z*, and with P = diag((-1)^n), D(-z) = P D(z) P and
+    D(z*) = conj D(z). So only the quadrant u, v >= 0 is summed, with nodes on
+    an axis at half weight, as S(sigma) for the four images sigma = rho, P rho
+    P, rho*, P rho* P, and the mixture is
+    S(rho) + conj S(rho*) + P (S(P rho P) + conj S(P rho* P)) P.
     """
     if isinstance(phi, FockVector):
         if phi.n_modes != 1:
@@ -432,11 +439,18 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     wx, wy = _parse_f_spec(f_spec)
     dim = rho.shape[0]
     nodes, wts = hermgauss(grid)
+    nodes, wts = nodes[grid // 2:], wts[grid // 2:].copy()
+    if grid % 2:
+        wts[0] *= 0.5                                  # the node on the axis
     u, v = np.meshgrid(nodes, nodes, indexing="ij")
     zs = ((wx * u + 1j * wy * v) / math.sqrt(2.0)).ravel()
     weights = np.outer(wts, wts).ravel() / math.pi
     disp = _kernels.displacement_columns_batch(zs, dim, dim)
-    mix = _kernels.smear_accumulate(disp, weights, rho)
+    sign = (-1.0) ** np.arange(dim)
+    parity = np.outer(sign, sign)
+    images = np.stack([rho, parity * rho, rho.conj(), parity * rho.conj()])
+    part = _kernels.smear_accumulate(disp, weights, images)
+    mix = part[0] + part[2].conj() + parity * (part[1] + part[3].conj())
     tr = float(np.trace(mix).real)
     if abs(tr - 1.0) > 1e-4:
         raise GridTooCoarseError(

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import scipy.linalg
 
 import cvclone
 from cvclone import checks, cli, fock, network
+from cvclone.errors import TruncationWarning
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -39,6 +41,25 @@ def test_run_all_skips_algebra_checks_at_minimum_truncation():
     for r in results:
         if r.name not in skipped:
             assert r.status == "pass", f"{r.name}: {r.detail}"
+
+
+@pytest.mark.parametrize("truncation", [8, 12, 13, 14, 15, 16, 25])
+def test_run_all_is_quiet_at_every_truncation(truncation):
+    # a TruncationWarning raised inside a check turns it into a failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        results = checks.run_all(truncation)
+    assert [r.name for r in results] == [
+        "commutator-algebra", "bch-identity", "unitarity",
+        "backend-equivalence", "weyl-covariance", "clone-symmetry",
+        "gains-consistency"]
+    for r in results:
+        assert r.status in ("pass", "skip"), f"{r.name}: {r.detail}"
+    by_name = {r.name: r for r in results}
+    if truncation < 15:
+        assert by_name["weyl-covariance"].detail == "needs truncation >= 15"
+    if truncation < 14:
+        assert by_name["clone-symmetry"].detail == "needs truncation >= 14"
 
 
 @pytest.fixture

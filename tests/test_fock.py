@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm as scipy_expm
 
-from cvclone import fock, network
+from cvclone import _kernels, fock, network
 from cvclone.errors import (GridTooCoarseError, InvalidArgumentError,
                             TruncationOverflowError, TruncationWarning)
 
@@ -218,6 +219,40 @@ def test_smeared_mixture_input_checks():
         fock.smeared_mixture(fock.vacuum_fock((10,)), {"width": -1.0})
     with pytest.raises(GridTooCoarseError):
         # wide smear on a short ladder loses trace past the 1e-4 bound
+        fock.smeared_mixture(fock.vacuum_fock((8,)), {"width": 3.0})
+
+
+def _full_grid_mixture(rho, wx, wy, grid):
+    """Unnormalized sum of w D(z) rho D(z)^dag over every node of the grid."""
+    nodes, wts = hermgauss(grid)
+    u, v = np.meshgrid(nodes, nodes, indexing="ij")
+    zs = ((wx * u + 1j * wy * v) / math.sqrt(2.0)).ravel()
+    weights = np.outer(wts, wts).ravel() / math.pi
+    mats = _kernels.displacement_columns_batch(zs, rho.shape[0], rho.shape[0])
+    left = (weights[:, None, None] * mats) @ rho
+    return (left @ mats.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+@pytest.mark.parametrize("grid", [41, 42])
+@pytest.mark.parametrize("f_spec,widths", [
+    ("symmetric", (1.0, 1.0)), ({"sigma": 1.5}, (1.5, 1.0 / 1.5)),
+    ({"width": 0.5}, (0.5, 0.5))])
+def test_smeared_mixture_matches_full_grid_sum(grid, f_spec, widths):
+    # a displaced input: every parity block and both quadrature signs count
+    base = fock.coherent_fock(0.4 - 0.3j, 16)
+    rho = np.outer(base.amplitudes, base.amplitudes.conj())
+    expect = _full_grid_mixture(rho, *widths, grid)
+    expect /= np.trace(expect).real
+    got = fock.smeared_mixture(base, f_spec, grid).matrix
+    assert np.abs(got - expect).max() < 1e-14
+
+
+def test_smeared_mixture_refusal_reports_full_grid_trace():
+    rho = np.zeros((8, 8), np.complex128)
+    rho[0, 0] = 1.0
+    trace = np.trace(_full_grid_mixture(rho, 3.0, 3.0, 41)).real
+    with pytest.raises(GridTooCoarseError,
+                       match=f"mixture trace {trace:.6f};"):
         fock.smeared_mixture(fock.vacuum_fock((8,)), {"width": 3.0})
 
 

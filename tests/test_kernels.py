@@ -5,6 +5,8 @@ truncation error stays below the comparison tolerance (measured 8e-13 at pad
 40 for |z| up to ~2).
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -66,6 +68,36 @@ def test_batch_shape_and_consistency():
         np.testing.assert_allclose(batch[k], single, atol=1e-14)
 
 
+def _scatter_columns(zs, dim, ncols):
+    """The recurrence written one output column at a time, <m|D(z)|n>."""
+    out = np.empty((len(zs), dim, ncols), np.complex128)
+    col = np.empty((len(zs), dim), np.complex128)
+    col[:, 0] = np.exp(-0.5 * (zs.real**2 + zs.imag**2))
+    for m in range(1, dim):
+        col[:, m] = col[:, m - 1] * zs / math.sqrt(m)
+    out[:, :, 0] = col
+    zc = np.conj(zs)[:, None]
+    roots = np.sqrt(np.arange(dim, dtype=np.float64))
+    for n in range(ncols - 1):
+        nxt = np.empty_like(col)
+        nxt[:, 0] = -zc[:, 0] * col[:, 0]
+        nxt[:, 1:] = roots[1:] * col[:, :-1] - zc * col[:, 1:]
+        nxt *= 1.0 / math.sqrt(n + 1.0)
+        out[:, :, n + 1] = nxt
+        col = nxt
+    return out
+
+
+@pytest.mark.parametrize("dim,ncols", [(12, 1), (12, 5), (12, 12),
+                                       (1, 1), (30, 30)])
+def test_batch_columns_equal_scatter_reference(dim, ncols):
+    rng = np.random.default_rng(dim * 100 + ncols)
+    zs = 1.5 * (rng.normal(size=37) + 1j * rng.normal(size=37))
+    got = _kernels.displacement_columns_batch(zs, dim, ncols)
+    assert got.shape == (37, dim, ncols)
+    assert np.array_equal(got, _scatter_columns(zs, dim, ncols))
+
+
 def test_povm_grid_values_against_loop():
     rng = np.random.default_rng(11)
     dim = 10
@@ -100,3 +132,37 @@ def test_smear_accumulate_against_loop():
     got = np.asarray(_kernels.smear_accumulate(mats, wts, rho))
     expect = sum(w * (d @ rho @ d.conj().T) for w, d in zip(wts, mats))
     np.testing.assert_allclose(got, expect, atol=1e-13)
+
+
+def test_povm_grid_values_mirror_batch_against_loop():
+    rng = np.random.default_rng(13)
+    dim = 11
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    s_dag = np.linalg.qr(m)[0]
+    weights = 0.7 * 0.3 ** np.arange(6)
+    for count in (9, 10):                    # with and without z = 0
+        half = rng.normal(size=count // 2) + 1j * rng.normal(size=count // 2)
+        middle = [0j] if count % 2 else []
+        zs = np.concatenate([half, middle, -half[::-1]])
+        got = _kernels.povm_grid_values(zs, s_dag, rho, weights, 0.42)
+        for k, z in enumerate(zs):
+            cols = _kernels.displacement_columns(z, dim, len(weights))
+            u = s_dag @ cols
+            acc = np.einsum("mn,mk,kn,n->", u.conj(), rho, u, weights).real
+            assert got[k] == pytest.approx(0.42 * acc, rel=1e-12, abs=1e-15)
+
+
+def test_smear_accumulate_stack_matches_single_calls():
+    rng = np.random.default_rng(14)
+    dim = 7
+    zs = rng.normal(size=6) + 1j * rng.normal(size=6)
+    mats = _kernels.displacement_columns_batch(zs, dim, dim)
+    wts = rng.random(6)
+    stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    got = _kernels.smear_accumulate(mats, wts, stack)
+    assert got.shape == (3, dim, dim)
+    for rho, part in zip(stack, got):
+        np.testing.assert_allclose(
+            part, _kernels.smear_accumulate(mats, wts, rho), atol=1e-13)

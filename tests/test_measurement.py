@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from cvclone import fock, gaussian, measurement, network
+from cvclone import _kernels, fock, gaussian, measurement, network
 from cvclone.errors import DomainError, InvalidArgumentError
 
 T0 = math.atanh(1.0 / 3.0)
@@ -125,6 +125,75 @@ def test_density_symmetry_for_vacuum_input():
     xs = np.linspace(-3.0, 3.0, 11)
     g = measurement.povm_density_grid(p, xs, xs, fock.coherent_fock(0j, 20))
     np.testing.assert_allclose(g, g[::-1, ::-1], atol=1e-14)
+
+
+def _density_loop(params, xs, xps, vec):
+    """Tr[rho F] point by point from single displacement columns."""
+    rho = np.outer(vec.amplitudes, vec.amplitudes.conj())
+    dim = rho.shape[0]
+    weights = measurement._thermal_weights(params, dim)
+    s_dag = measurement._squeeze_dag(params.xi, dim)
+    out = np.empty((len(xs), len(xps)))
+    for i, x in enumerate(xs):
+        for j, xp in enumerate(xps):
+            z = params.alpha_of(x, xp) * params.delta
+            u = s_dag @ _kernels.displacement_columns(z, dim, len(weights))
+            out[i, j] = params.prefactor * np.einsum(
+                "mn,mk,kn,n->", u.conj(), rho, u, weights).real
+    return out
+
+
+@pytest.mark.parametrize("xs,xps", [
+    (np.linspace(-5.0, 5.0, 41), np.linspace(-5.0, 5.0, 41)),
+    (np.linspace(-5.0, 5.0, 61), np.linspace(-5.0, 5.0, 61)),
+    (np.linspace(-4.0, 4.0, 40), np.linspace(-3.0, 3.0, 40)),
+    (np.linspace(-4.0, 5.0, 23), np.linspace(-5.0, 5.0, 17)),   # asymmetric
+])
+def test_density_grid_matches_point_loop(xs, xps):
+    # a displaced input has parity-flipping coherences, so p(z) != p(-z)
+    p = measurement.povm_params(4.0, 0.6, 0.6 + RIGHT)
+    vec = fock.coherent_fock(0.5 - 0.3j, 14)
+    got = measurement.povm_density_grid(p, xs, xps, vec)
+    expect = _density_loop(p, xs, xps, vec)
+    assert np.abs(got - expect).max() < 1e-14
+    assert np.abs(got - got[::-1, ::-1]).max() > 1e-3
+
+
+@pytest.mark.parametrize("xs", [
+    np.array([-1.0, np.nan, 2.0]),
+    np.array([-2.0, np.inf, 2.0]),
+    np.array([np.nan, 0.0, np.nan]),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_grid_points_leave_the_others_exact(xs):
+    # a NaN or inf must not pass the mirror check and misplace densities
+    p = _params3()
+    vec = fock.coherent_fock(0.4 - 0.2j, 12)
+    xps = np.array([-0.5, 0.0, 0.5])
+    got = measurement.povm_density_grid(p, xs, xps, vec)
+    expect = _density_loop(p, xs[np.isfinite(xs)], xps, vec)
+    assert np.abs(got[np.isfinite(xs)] - expect).max() < 1e-14
+
+
+@pytest.mark.parametrize("xs,xps,points", [
+    (np.linspace(-5.0, 5.0, 41), np.linspace(-5.0, 5.0, 41), 841),
+    (np.linspace(-5.0, 5.0, 40), np.linspace(-5.0, 5.0, 40), 800),
+    (np.linspace(-5.0, 5.0, 41), np.linspace(-5.0, 5.0, 41) + 0.1, 1681),
+    (np.linspace(-5.0, 4.0, 40), np.linspace(-5.0, 5.0, 40), 1600),
+])
+def test_symmetric_grids_build_half_the_columns(monkeypatch, xs, xps,
+                                                points):
+    seen = []
+    batch = _kernels.displacement_columns_batch
+
+    def spy(zs, dim, ncols):
+        seen.append(len(zs))
+        return batch(zs, dim, ncols)
+
+    monkeypatch.setattr(_kernels, "displacement_columns_batch", spy)
+    measurement.povm_density_grid(_params3(), xs, xps,
+                                  fock.coherent_fock(0.3, 12))
+    assert seen == [points]
 
 
 def test_density_accepts_density_matrix_input():
