@@ -3,8 +3,8 @@
 Everything prints or writes deterministic CSV (fixed 12-significant-digit
 scientific notation), so two runs with the same configuration produce
 byte-identical output. Exit codes: 0 success, 1 check failure, 2 invalid
-configuration (including a truncation or grid too coarse for the requested
-run, whose message says what to raise or refine), 3 I/O problem, 4 internal
+configuration (including a truncation too small for the requested run or its
+coherent input, whose message says what to raise), 3 I/O problem, 4 internal
 error (an unexpected exception, reported on one stderr line instead of a
 traceback).
 """

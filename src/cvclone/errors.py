@@ -14,7 +14,7 @@ class TruncationOverflowError(RuntimeError):
 
 
 class GridTooCoarseError(RuntimeError):
-    """A quadrature grid failed its trace-accuracy diagnostic."""
+    """A smeared mixture lost more trace than its diagnostic allows."""
 
 
 class TruncationWarning(UserWarning):

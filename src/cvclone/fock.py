@@ -86,12 +86,25 @@ def vacuum_fock(dims) -> FockVector:
 
 
 def coherent_fock(alpha: complex, dim: int) -> FockVector:
-    """Truncated coherent state, renormalized on the truncated space."""
+    """Truncated coherent state, renormalized on the truncated space.
+
+    The norm the truncation drops, 1 - e^(-|alpha|^2) sum_n |alpha^n|^2 / n!
+    over n < dim, meets the guard-band policy: a TruncationWarning above 1e-3,
+    a TruncationOverflowError above 1e-2.
+    """
     amps = np.empty(dim, np.complex128)
     amps[0] = 1.0
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return FockVector((dim,), amps).normalized()
+    vec = FockVector((dim,), amps)
+    dropped = 1.0 - math.exp(-abs(alpha) * abs(alpha)) * vec.norm() ** 2
+    msg = (f"coherent input {alpha} drops {dropped:.2e} of its norm at "
+           f"dim {dim}")
+    if not dropped <= _LEAK_FAIL:                      # NaN once amps overflow
+        raise TruncationOverflowError(msg + "; raise truncation")
+    if dropped > _LEAK_WARN:
+        warnings.warn(msg, TruncationWarning, stacklevel=2)
+    return vec.normalized()
 
 
 def tensor(*vecs: FockVector) -> FockVector:
@@ -223,6 +236,17 @@ def _expm_dense(mat: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def squeeze_matrix(xi: complex, dim: int) -> np.ndarray:
+    """Single-mode squeezer S(xi) = exp((xi a^dag^2 - conj(xi) a^2)/2).
+
+    Built on ``dim`` levels; the outcome operators of ``measurement`` and the
+    general-width preparation both use this convention.
+    """
+    a = _ann_dense(dim).astype(np.complex128)
+    gen = 0.5 * (xi * a.conj().T @ a.conj().T - np.conj(xi) * a @ a)
+    return _expm_dense(gen)
 
 
 def matrix_exponential(op) -> "FockOperator | np.ndarray":
@@ -454,7 +478,8 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     tr = float(np.trace(mix).real)
     if abs(tr - 1.0) > 1e-4:
         raise GridTooCoarseError(
-            f"mixture trace {tr:.6f}; refine the grid or raise truncation")
+            f"mixture trace {tr:.6f}; the smear moves mass past the "
+            "truncation, raise truncation")
     return DensityMatrix(mix / tr)
 
 

@@ -15,7 +15,7 @@ outcome identification is claimed: the residual relation involves an extra
 area-preserving linear map with no closed form found, see the design notes.
 
 The squeeze operator convention, also oracle-pinned, is
-S(xi) = exp((xi c^dag^2 - conj(xi) c^2)/2).
+S(xi) = exp((xi c^dag^2 - conj(xi) c^2)/2), built by ``fock.squeeze_matrix``.
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ def povm_params(lam: float, phi: float, theta: float) -> PovmParams:
 
 @functools.lru_cache(maxsize=64)
 def _squeeze_dag(xi: complex, dim: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(np.complex128)
-    gen = 0.5 * (xi * a.conj().T @ a.conj().T - np.conj(xi) * a @ a)
-    return fock._expm_dense(gen).conj().T
+    return fock.squeeze_matrix(xi, dim).conj().T
 
 
 def _thermal_weights(params: PovmParams, dim: int) -> np.ndarray:
@@ -287,9 +285,7 @@ def sigma_variant_report(sigma: float, lam: float, truncation: int = 18):
     input (both equal sigma^2 / (2 (1 + sigma^4)) in the large-lam limit),
     plus the trace distance between the clones.
     """
-    if not network.SIGMA_RANGE[0] <= sigma <= network.SIGMA_RANGE[1]:
-        raise InvalidArgumentError(
-            f"sigma outside supported range {network.SIGMA_RANGE}")
+    network.check_sigma(sigma)
     if lam > 6.0:
         raise InvalidArgumentError("Fock-based preparation is capped at lam=6")
     angle = math.atan(sigma * sigma)

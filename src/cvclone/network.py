@@ -16,12 +16,14 @@ Stage strengths for symmetric preparation (sigma = 1):
 For sigma != 1 the preparation is not a pure pair squeeze, so stage 1 carries
 only -lam and the preparation state is supplied explicitly by
 ``preparation_state``; clones then carry noise sigma^2/4 in X and 1/(4 sigma^2)
-in Y.
+in Y. That preparation is the twin beam squeezed locally by ln sigma on both
+modes: the symplectic backend carries its closed-form covariance, the Fock
+backend applies the truncated squeezer S(ln sigma) to each mode of the twin
+beam.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -66,14 +68,17 @@ class CloneResult:
     ancilla_b: object
 
 
+def check_sigma(sigma: float) -> None:
+    """Refuse a preparation width outside SIGMA_RANGE."""
+    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
+        raise InvalidArgumentError(
+            f"sigma outside supported range {SIGMA_RANGE}")
+
+
 def network_from_lambda(lam: float, sigma: float = 1.0) -> CloningNetworkSpec:
     if not 0.0 < lam <= LAMBDA_CAP:
         raise InvalidArgumentError(f"lam must lie in (0, {LAMBDA_CAP}]")
-    if sigma <= 0:
-        raise InvalidArgumentError("sigma must be positive")
-    if sigma != 1.0 and not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
-        raise InvalidArgumentError(
-            f"sigma outside supported range {SIGMA_RANGE}")
+    check_sigma(sigma)
     s1 = (TWIN_BEAM_SQUEEZE - lam) if sigma == 1.0 else -lam
     stages = (Stage("C", (1, 2), s1),
               Stage("A", (2, 0), 2.0 * math.exp(-lam)),
@@ -92,41 +97,14 @@ def gains(spec: CloningNetworkSpec):
     return g
 
 
-def _sigma_prep_fock_raw(sigma: float, truncation: int, nodes: int) -> np.ndarray:
-    """Two-mode preparation amplitudes chi[na, nb] for general sigma.
-
-    Built by integrating the displacement kernel against the Gaussian weight
-    f(z) = sqrt(2/pi) exp(-Re^2 z / sigma^2 - sigma^2 Im^2 z) on a
-    Gauss-Hermite grid, then normalizing (the continuous kernel is built from
-    unnormalizable eigenstates, so no closed-form normalization exists).
-    """
-    from . import _kernels
-
-    grid, wts = np.polynomial.hermite.hermgauss(nodes)
-    u, v = np.meshgrid(grid, grid, indexing="ij")
-    zs = (sigma * u + 1j * v / sigma).ravel()
-    weights = np.outer(wts, wts).ravel()
-    disp = _kernels.displacement_columns_batch(zs, truncation, truncation)
-    chi = np.einsum("b,bmn->mn", weights, disp)
-    chi *= np.where(np.arange(truncation) % 2 == 0, 1.0, -1.0)[None, :]
-    chi /= np.linalg.norm(chi)
-    return chi
-
-
-@functools.lru_cache(maxsize=32)
-def _sigma_prep_cached(sigma: float, truncation: int, nodes: int):
-    chi = _sigma_prep_fock_raw(sigma, truncation, nodes)
-    return fock.FockVector((truncation, truncation), chi.ravel())
-
-
 def sigma_prep_covariance(sigma: float) -> np.ndarray:
     """Closed-form covariance of the general-width preparation.
 
-    Pure by construction: the X-block eigenvalues are sigma^2/2 and
-    sigma^2/8, the Y-block ones their reciprocals over 4, so det(4V) = 1.
-    Validated against the numerically built Fock state (its measured
-    quadrature moments converge to this matrix as truncation and node count
-    grow).
+    It is the twin-beam covariance squeezed locally by ln sigma on both
+    modes, so it is pure: the X-block eigenvalues are sigma^2/2 and
+    sigma^2/8, the Y-block ones their reciprocals over 4, and det(4V) = 1.
+    The Fock preparation's measured quadrature moments converge to this
+    matrix as the truncation grows.
     """
     s2 = float(sigma) ** 2
     cov = np.zeros((4, 4))
@@ -138,32 +116,31 @@ def sigma_prep_covariance(sigma: float) -> np.ndarray:
 
 
 def preparation_state(sigma: float, backend: str = "gaussian",
-                      truncation: int = 20, nodes: int = 61):
+                      truncation: int = 20):
     """Entangled two-mode preparation on (a, b).
 
-    sigma = 1 is the twin beam with tanh parameter 1/3 (exact in both
-    backends); other sigma values use the closed-form covariance for the
-    symplectic backend and a numerically built Fock vector otherwise.
+    sigma = 1 is the twin beam with tanh parameter 1/3, exact in both
+    backends. Other widths squeeze that twin beam locally by ln sigma on both
+    modes: the symplectic backend takes the closed-form covariance, the Fock
+    backend the amplitudes S chi S^T with S = S(ln sigma) on ``truncation``
+    levels, renormalized.
     """
-    if sigma <= 0:
-        raise InvalidArgumentError("sigma must be positive")
-    if sigma != 1.0 and not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
-        raise InvalidArgumentError(
-            f"sigma outside supported range {SIGMA_RANGE}")
+    check_sigma(sigma)
     if backend == "gaussian":
         # sigma = 1 reduces to the twin-beam dyadics, which the closed form
         # carries as exact machine numbers (the squeezer product is 1 ulp off)
         return gaussian.GaussianState(2, np.zeros(4),
                                       sigma_prep_covariance(sigma))
     if backend == "fock":
-        if sigma == 1.0:
-            n = np.arange(truncation)
-            coeff = math.sqrt(8.0 / 9.0) * (-1.0 / 3.0) ** n
-            chi = np.zeros((truncation, truncation), np.complex128)
-            chi[n, n] = coeff
+        n = np.arange(truncation)
+        chi = np.zeros((truncation, truncation), np.complex128)
+        chi[n, n] = math.sqrt(8.0 / 9.0) * (-1.0 / 3.0) ** n
+        chi /= np.linalg.norm(chi)
+        if sigma != 1.0:
+            squeeze = fock.squeeze_matrix(math.log(sigma), truncation)
+            chi = squeeze @ chi @ squeeze.T
             chi /= np.linalg.norm(chi)
-            return fock.FockVector((truncation, truncation), chi.ravel())
-        return _sigma_prep_cached(float(sigma), truncation, nodes)
+        return fock.FockVector((truncation, truncation), chi.ravel())
     raise InvalidArgumentError(f"unknown backend {backend!r}")
 
 

@@ -239,6 +239,21 @@ def test_clone_fock_backend_reports_distance(capsys):
     assert m and float(m.group(1)) < 1e-3
 
 
+def _clone_a_var_y(text):
+    m = re.search(r"clone_a: .* var = \((\S+), (\S+)\)", text)
+    return float(m.group(2))
+
+
+def test_clone_fock_general_width_matches_symplectic(capsys):
+    args = ["clone", "--lambda", "4", "--alpha", "0.3,0", "--sigma", "2"]
+    assert cli.main(args) == 0
+    expect = _clone_a_var_y(capsys.readouterr().out)
+    assert expect == pytest.approx(0.3125, abs=1e-4)    # 1/4 + 1/(4 sigma^2)
+    assert cli.main(args + ["--backend", "fock", "--truncation", "32"]) == 0
+    assert _clone_a_var_y(capsys.readouterr().out) == pytest.approx(
+        expect, abs=1e-3)                                 # measured 0.31249
+
+
 # ----------------------------------------------------------------- cli: povm
 
 def test_povm_table_structure(capsys):
@@ -269,6 +284,14 @@ def test_povm_to_file_matches_stdout(tmp_path, capsys):
     assert _read(out) == direct
 
 
+def test_povm_refuses_truncated_coherent_input(capsys):
+    code = cli.main(["povm", "--lambda", "3", "--phi", "0",
+                     "--theta", "1.5707963267948966", "--grid", "11,4",
+                     "--alpha=3,0", "--truncation", "16"])
+    assert code == cli.EXIT_BAD_CONFIG == 2
+    assert "raise truncation" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- cli: verify
 
 def test_verify_command_reports_and_skips(capsys):
@@ -290,18 +313,41 @@ def test_verify_fails_on_wrong_gains(skewed_gains, capsys):
     assert "FAIL" in line
 
 
-def test_module_entry_point():
-    # the child process must import the same cvclone as this one, installed
+def _child_env():
+    # a child process must import the same cvclone as this one, installed
     # or not
     src = os.path.dirname(os.path.dirname(cvclone.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point():
     out = subprocess.run([sys.executable, "-m", "cvclone.cli", "clone",
                           "--lambda", "1", "--alpha", "0,0"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=_child_env())
     assert out.returncode == 0
     assert "gains:" in out.stdout
+
+
+def test_fock_paths_do_not_import_scipy_linalg():
+    # importing scipy.linalg adds 50-120 ms to every fresh process that
+    # builds a preparation or an outcome grid
+    script = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "import cvclone\n"
+        "from cvclone import fock, measurement, network\n"
+        "network.preparation_state(2.0, 'fock', truncation=18)\n"
+        "p = measurement.povm_params(3.0, 0.0, math.pi / 2.0)\n"
+        "measurement.povm_density_grid(p, np.zeros(3), np.zeros(3),\n"
+        "                              fock.vacuum_fock((16,)))\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=_child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_unexpected_error_maps_to_exit_four(monkeypatch, capsys):

@@ -23,6 +23,19 @@ def test_coherent_series():
     assert vec.norm() == pytest.approx(1.0, abs=1e-14)
 
 
+def test_coherent_truncation_policy():
+    # dropped norm 1 - e^-|alpha|^2 sum_{n<dim} |alpha|^2n / n!
+    with pytest.raises(TruncationOverflowError,
+                       match="drops 2.20e-02 .*raise truncation"):
+        fock.coherent_fock(3.0, 16)
+    with pytest.warns(TruncationWarning, match="drops 8.13e-03"):
+        vec = fock.coherent_fock(2.0, 10)
+    assert vec.norm() == pytest.approx(1.0, abs=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        fock.coherent_fock(1.0, 8)                  # drops 1.0e-05
+
+
 def test_tensor_layout_is_mode_major():
     # flat index (n_c d_a + n_a) d_b + n_b
     c = fock.FockVector((2,), np.array([0.0, 1.0], np.complex128))
@@ -254,6 +267,16 @@ def test_smeared_mixture_refusal_reports_full_grid_trace():
     with pytest.raises(GridTooCoarseError,
                        match=f"mixture trace {trace:.6f};"):
         fock.smeared_mixture(fock.vacuum_fock((8,)), {"width": 3.0})
+
+
+@pytest.mark.parametrize("grid", [41, 61])
+def test_smeared_mixture_refusal_names_the_truncation(grid):
+    # the lost trace is the truncation tail: a finer grid keeps 0.999876
+    with pytest.raises(GridTooCoarseError,
+                       match="mixture trace 0.999876;") as info:
+        fock.smeared_mixture(fock.coherent_fock(0, 12), {"sigma": 1.5}, grid)
+    assert "refine the grid" not in str(info.value)
+    assert "raise truncation" in str(info.value)
 
 
 def test_projector_form_needs_strong_coupling():

@@ -91,17 +91,19 @@ def test_symmetric_prep_fock_series():
     assert np.abs(chi - np.diag(np.diag(chi))).max() == 0.0
 
 
-def test_quadrature_integral_prep_reduces_to_twin_beam():
-    # the general-width construction must collapse to the diagonal series at
-    # width one; validates the node placement of the quadrature integral
-    raw = network._sigma_prep_fock_raw(1.0, 20, 61)
-    n = np.arange(20)
-    exact = np.zeros((20, 20))
-    exact[n, n] = math.sqrt(8.0 / 9.0) * (-1.0 / 3.0) ** n
-    exact /= np.linalg.norm(exact)
-    if np.sign(raw[0, 0].real) != np.sign(exact[0, 0]):
-        raw = -raw
-    assert np.abs(raw - exact).max() < 1e-10  # measured 2.1e-13
+def test_general_width_prep_converges_with_truncation():
+    # the locally squeezed twin beam approaches the closed covariance as the
+    # truncation grows; measured 2.8e-3, 2.8e-4, 2.8e-5 at T = 18, 24, 30
+    cov = network.sigma_prep_covariance(2.0)
+    gaps = []
+    for truncation in (18, 24, 30):
+        vec = network.preparation_state(2.0, backend="fock",
+                                        truncation=truncation)
+        _, measured = checks._fock_moments(vec.amplitudes, vec.dims)
+        gaps.append(np.abs(measured - cov).max())
+    assert gaps[0] < 5e-3
+    assert gaps[1] < 0.2 * gaps[0]
+    assert gaps[2] < 0.2 * gaps[1]
 
 
 def test_general_width_prep_matches_closed_covariance():
@@ -110,7 +112,7 @@ def test_general_width_prep_matches_closed_covariance():
     vec = network.preparation_state(1.5, backend="fock", truncation=24)
     mean, measured = checks._fock_moments(vec.amplitudes, vec.dims)
     assert np.abs(mean).max() < 1e-12
-    assert np.abs(measured - cov).max() < 1e-5  # measured 1.4e-7
+    assert np.abs(measured - cov).max() < 1e-6  # measured 7.4e-8
 
 
 def test_general_width_prep_gaussian_branch():
