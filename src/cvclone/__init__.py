@@ -9,11 +9,10 @@ CSV-emitting CLI.
 from .checks import CheckResult, run_all
 from .errors import (DomainError, GridTooCoarseError, InvalidArgumentError,
                      TruncationOverflowError, TruncationWarning)
-from .fock import (DensityMatrix, FockOperator, FockVector,
-                   annihilation_matrix, build_generator, coherent_fock,
-                   matrix_exponential, apply_network_fock,
-                   projector_form_check, reduced_density, smeared_mixture,
-                   tensor, trace_distance, vacuum_fock)
+from .fock import (DensityMatrix, FockVector, annihilation_matrix,
+                   build_generator, coherent_fock, matrix_exponential,
+                   apply_network_fock, projector_form_check, reduced_density,
+                   smeared_mixture, tensor, trace_distance, vacuum_fock)
 from .gaussian import (GaussianState, SymplecticTransform,
                        apply_beam_splitter, apply_two_mode_squeezer,
                        beam_splitter, displace, fidelity_with_coherent,
@@ -32,7 +31,7 @@ __all__ = [
     "CheckResult", "run_all",
     "DomainError", "GridTooCoarseError", "InvalidArgumentError",
     "TruncationOverflowError", "TruncationWarning",
-    "DensityMatrix", "FockOperator", "FockVector", "annihilation_matrix",
+    "DensityMatrix", "FockVector", "annihilation_matrix",
     "build_generator", "coherent_fock", "matrix_exponential",
     "apply_network_fock", "projector_form_check", "reduced_density",
     "smeared_mixture", "tensor", "trace_distance", "vacuum_fock",

@@ -1,11 +1,13 @@
 """Brute-force truncated Fock-space backend.
 
-Dense/sparse operator construction, a dense scaling-and-squaring matrix
-exponential, network evolution by the action of the gate exponentials on the
-state (truncated Taylor steps sized by the Al-Mohy & Higham bounds, see
-``expm_apply``), reduced density matrices, and the displaced-mixture
-integral. This module is the ground truth the symplectic backend is checked
-against.
+Operators are plain arrays: dense numpy for single modes, scipy-sparse on the
+tensor space. Every two-mode gate generator, the pair squeezer or the
+splitter on one pair of modes, comes from ``pair_generator``. Around them sit
+a dense scaling-and-squaring matrix exponential, network evolution by the
+action of the gate exponentials on the state (truncated Taylor steps sized by
+the Al-Mohy & Higham bounds, see ``expm_apply``), reduced density matrices,
+and the displaced-mixture integral. This module is the ground truth the
+symplectic backend is checked against.
 
 Mode order for three-mode vectors is (c, a, b): c carries the input, a the
 second clone, b the ancilla. Index layout is mode-major,
@@ -119,52 +121,10 @@ def tensor(*vecs: FockVector) -> FockVector:
 
 # ----------------------------------------------------------------- operators
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Operator on the truncated space; entries dense or scipy-sparse."""
-
-    dims: tuple
-    entries: object
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        size = int(np.prod(dims))
-        entries = self.entries
-        if not sp.issparse(entries):
-            entries = np.asarray(entries, dtype=np.complex128)
-            if not np.all(np.isfinite(entries)):
-                raise InvalidArgumentError("non-finite operator entries")
-        if entries.shape != (size, size):
-            raise InvalidArgumentError("entry shape != product of dims")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.entries)
-
-    def toarray(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.entries.toarray()
-        return self.entries
-
-    def dag(self) -> "FockOperator":
-        return FockOperator(self.dims, self.entries.conj().T)
-
-    def apply(self, vec: FockVector) -> FockVector:
-        if vec.dims != self.dims:
-            raise InvalidArgumentError("dims mismatch")
-        return FockVector(vec.dims, self.entries @ vec.amplitudes)
-
-
-def annihilation_matrix(dim: int) -> FockOperator:
+def annihilation_matrix(dim: int) -> np.ndarray:
     """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
     if dim < 2:
         raise InvalidArgumentError("dim must be at least 2")
-    return FockOperator((dim,), np.diag(np.sqrt(np.arange(1.0, dim)), 1))
-
-
-def _ann_dense(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
@@ -173,7 +133,7 @@ def _mode_annihilations(dims: tuple):
     """Sparse lowering operator for each mode of the full tensor space."""
     ops = []
     for m, d in enumerate(dims):
-        mat = sp.csr_matrix(_ann_dense(d))
+        mat = sp.csr_matrix(annihilation_matrix(d))
         full = sp.identity(1, format="csr")
         for k, dk in enumerate(dims):
             factor = mat if k == m else sp.identity(dk, format="csr")
@@ -182,28 +142,48 @@ def _mode_annihilations(dims: tuple):
     return tuple(ops)
 
 
+def pair_generator(kind: str, dims, i: int, j: int):
+    """Sparse two-mode generator on modes (i, j) of the tensor space ``dims``.
+
+    ``"squeezer"`` is ij - i^dag j^dag and ``"splitter"`` is
+    i^dag j - i j^dag, the generators of ``gaussian.two_mode_squeezer`` and
+    ``gaussian.beam_splitter`` on the same pair.
+    """
+    dims = tuple(int(d) for d in dims)
+    for m in (i, j):
+        if not 0 <= m < len(dims):
+            raise InvalidArgumentError(f"mode {m} out of range")
+    if i == j:
+        raise InvalidArgumentError("a pair generator needs two distinct modes")
+    ann = _mode_annihilations(dims)
+    ai, aj = ann[i], ann[j]
+    if kind == "squeezer":
+        return (ai @ aj - ai.conj().T @ aj.conj().T).tocsr()
+    if kind == "splitter":
+        return (ai.conj().T @ aj - ai @ aj.conj().T).tocsr()
+    raise InvalidArgumentError(f"unknown pair generator {kind!r}")
+
+
 @functools.lru_cache(maxsize=16)
 def _generators(dims: tuple):
     """The three network generators as sparse matrices on (c, a, b).
 
-    A couples (b, c) and C couples (a, b) as pair squeezers; B is the
-    rotation-type coupling of (c, a).
+    A squeezes the pair (b, c) and C the pair (a, b); B is the splitter
+    coupling of (a, c).
     """
-    c, a, b = _mode_annihilations(dims)
-    gen_a = (b @ c - b.conj().T @ c.conj().T).tocsr()
-    gen_b = (c @ a.conj().T - c.conj().T @ a).tocsr()
-    gen_c = (a @ b - a.conj().T @ b.conj().T).tocsr()
-    return {"A": gen_a, "B": gen_b, "C": gen_c}
+    return {"A": pair_generator("squeezer", dims, 2, 0),
+            "B": pair_generator("splitter", dims, 1, 0),
+            "C": pair_generator("squeezer", dims, 1, 2)}
 
 
-def build_generator(kind: str, dims) -> FockOperator:
-    """One of the three bilinear network generators on the full space."""
+def build_generator(kind: str, dims):
+    """One of the three network generators, a sparse matrix on (c, a, b)."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3:
         raise InvalidArgumentError("generators live on three modes")
     if kind not in ("A", "B", "C"):
         raise InvalidArgumentError(f"unknown generator kind {kind!r}")
-    return FockOperator(dims, _generators(dims)[kind])
+    return _generators(dims)[kind]
 
 
 # ------------------------------------------------------- matrix exponentials
@@ -244,15 +224,13 @@ def squeeze_matrix(xi: complex, dim: int) -> np.ndarray:
     Built on ``dim`` levels; the outcome operators of ``measurement`` and the
     general-width preparation both use this convention.
     """
-    a = _ann_dense(dim).astype(np.complex128)
+    a = annihilation_matrix(dim).astype(np.complex128)
     gen = 0.5 * (xi * a.conj().T @ a.conj().T - np.conj(xi) * a @ a)
     return _expm_dense(gen)
 
 
-def matrix_exponential(op) -> "FockOperator | np.ndarray":
-    """exp(op) for a FockOperator or a plain square array."""
-    if isinstance(op, FockOperator):
-        return FockOperator(op.dims, _expm_dense(op.toarray()))
+def matrix_exponential(op) -> np.ndarray:
+    """exp(op) for a square array."""
     mat = np.asarray(op, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidArgumentError("need a square matrix")
@@ -388,7 +366,7 @@ class DensityMatrix:
 
     def quadrature_moments(self, phase: float):
         """Mean and variance of cos(phase) X + sin(phase) Y."""
-        a = _ann_dense(self.dim)
+        a = annihilation_matrix(self.dim)
         quad = 0.5 * (a * np.exp(-1j * phase) + a.conj().T * np.exp(1j * phase))
         mean = float(np.trace(self.matrix @ quad).real)
         second = float(np.trace(self.matrix @ quad @ quad).real)
@@ -505,13 +483,10 @@ def projector_form_check(phi: FockVector, lam: float) -> float:
     rho_ca = np.einsum("ijb,klb->ijkl", t, t.conj()).reshape(d * d, d * d)
     rho_ca /= np.trace(rho_ca).real
 
-    ann = _ann_dense(d)
-    c2 = np.kron(ann, np.eye(d))
-    a2 = np.kron(np.eye(d), ann)
-    gen = c2.conj().T @ a2 - c2 @ a2.conj().T
-    v = _expm_dense((math.pi / 4.0) * gen)
-    mask = np.repeat(np.arange(d) == 0, d)
-    w = v[:, mask]
+    # the columns of the rotation with c in vacuum span the projector's range
+    gen = pair_generator("splitter", (d, d), 0, 1)
+    w = expm_apply((math.pi / 4.0) * gen,
+                   np.eye(d * d, dtype=np.complex128)[:, :d])
     proj = w @ w.conj().T
     kern = np.kron(np.outer(phi.amplitudes, phi.amplitudes.conj()), np.eye(d))
     target = 0.5 * (proj @ kern @ proj)

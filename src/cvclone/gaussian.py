@@ -4,8 +4,11 @@ Conventions, fixed package-wide: quadratures X = (c + c†)/2, Y = (c − c†)/
 so vacuum has covariance I/4 and [X, Y] = i/2. Quadratures are interleaved as
 (x1, y1, x2, y2, ...). All operations are pure; states are immutable.
 
-Gate generators and their symplectic actions (sign conventions are pinned by
-the truncated-Fock backend, see tests):
+A gate is a linear symplectic map S acting as (mean, cov) -> (S mean,
+S cov S^T); ``displace`` shifts a state's mean directly. Gates act on a pair
+of modes (i, j), and their generators and symplectic actions are (sign
+conventions are pinned by the truncated-Fock backend's ``pair_generator``,
+see tests):
 
   two-mode squeezer  e^{r(ij − i†j†)}:   i → i cosh r − j† sinh r
   beam splitter      e^{θ(i†j − ij†)}:   i → i cos θ + j sin θ,  j → j cos θ − i sin θ
@@ -14,7 +17,7 @@ the truncated-Fock backend, see tests):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,26 +62,21 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
 
     def mode_mean(self, mode: int) -> complex:
-        i = 2 * _check_mode(self, mode)
+        i = 2 * _check_mode(self.n_modes, mode)
         return complex(self.mean[i], self.mean[i + 1])
 
 
 @dataclass(frozen=True)
 class SymplecticTransform:
-    """Affine Gaussian map: state -> (S mean + d, S cov S^T)."""
+    """Linear symplectic map: state -> (S mean, S cov S^T)."""
 
     matrix: np.ndarray
-    displacement: np.ndarray = field(default=None)
 
     def __post_init__(self):
         s = np.asarray(self.matrix, dtype=float)
         d = s.shape[0]
         if s.shape != (d, d) or d % 2:
             raise InvalidArgumentError("matrix must be square and even-sized")
-        disp = (np.zeros(d) if self.displacement is None
-                else np.asarray(self.displacement, dtype=float))
-        if disp.shape != (d,):
-            raise InvalidArgumentError("displacement length mismatch")
         omega = symplectic_form(d // 2)
         err = np.abs(s @ omega @ s.T - omega).max()
         # roundoff in S Omega S^T scales with |S|^2 (cosh/sinh cancellation
@@ -89,10 +87,9 @@ class SymplecticTransform:
                 f"matrix is not symplectic (defect {err:.2e}, "
                 f"scale {scale:.2e})")
         object.__setattr__(self, "matrix", s)
-        object.__setattr__(self, "displacement", disp)
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, displacement: np.ndarray):
+    def _trusted(cls, matrix: np.ndarray):
         """Wrap a product of validated transforms without re-validating.
 
         Roundoff in a long composition reflects the intermediate factors'
@@ -101,7 +98,6 @@ class SymplecticTransform:
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", matrix)
-        object.__setattr__(obj, "displacement", displacement)
         return obj
 
     @property
@@ -111,25 +107,23 @@ class SymplecticTransform:
     def apply(self, state: GaussianState) -> GaussianState:
         if state.n_modes != self.n_modes:
             raise InvalidArgumentError("mode-count mismatch")
-        mean = self.matrix @ state.mean + self.displacement
+        mean = self.matrix @ state.mean
         cov = self.matrix @ state.cov @ self.matrix.T
         cov = 0.5 * (cov + cov.T)
         return GaussianState(state.n_modes, mean, cov)
 
     def compose(self, inner: "SymplecticTransform") -> "SymplecticTransform":
         """The map that applies ``inner`` first, then this transform."""
-        return SymplecticTransform._trusted(
-            self.matrix @ inner.matrix,
-            self.matrix @ inner.displacement + self.displacement)
+        return SymplecticTransform._trusted(self.matrix @ inner.matrix)
 
     def inverse(self) -> "SymplecticTransform":
         omega = symplectic_form(self.n_modes)
         inv = -omega @ self.matrix.T @ omega
-        return SymplecticTransform._trusted(inv, -(inv @ self.displacement))
+        return SymplecticTransform._trusted(inv)
 
 
-def _check_mode(state, mode: int) -> int:
-    if not 0 <= mode < state.n_modes:
+def _check_mode(n_modes: int, mode: int) -> int:
+    if not 0 <= mode < n_modes:
         raise InvalidArgumentError(f"mode {mode} out of range")
     return mode
 
@@ -143,7 +137,7 @@ def vacuum_state(n_modes: int) -> GaussianState:
 
 def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
     """Shift one mode's mean by (Re alpha, Im alpha); covariance unchanged."""
-    i = 2 * _check_mode(state, mode)
+    i = 2 * _check_mode(state.n_modes, mode)
     mean = state.mean.copy()
     mean[i] += np.real(alpha)
     mean[i + 1] += np.imag(alpha)
@@ -152,6 +146,7 @@ def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
 
 def two_mode_squeezer(n_modes: int, i: int, j: int, r: float) -> SymplecticTransform:
     """Symplectic matrix of e^{r(ij − i†j†)} acting on modes (i, j)."""
+    _check_mode(n_modes, i), _check_mode(n_modes, j)
     if i == j:
         raise InvalidArgumentError("squeezer needs two distinct modes")
     s = np.eye(2 * n_modes)
@@ -166,6 +161,7 @@ def two_mode_squeezer(n_modes: int, i: int, j: int, r: float) -> SymplecticTrans
 
 def beam_splitter(n_modes: int, i: int, j: int, angle: float) -> SymplecticTransform:
     """Symplectic matrix of e^{θ(i†j − ij†)} acting on modes (i, j)."""
+    _check_mode(n_modes, i), _check_mode(n_modes, j)
     if i == j:
         raise InvalidArgumentError("beam splitter needs two distinct modes")
     s = np.eye(2 * n_modes)
@@ -178,13 +174,11 @@ def beam_splitter(n_modes: int, i: int, j: int, angle: float) -> SymplecticTrans
 
 def apply_two_mode_squeezer(state: GaussianState, i: int, j: int,
                             r: float) -> GaussianState:
-    _check_mode(state, i), _check_mode(state, j)
     return two_mode_squeezer(state.n_modes, i, j, r).apply(state)
 
 
 def apply_beam_splitter(state: GaussianState, i: int, j: int,
                         angle: float) -> GaussianState:
-    _check_mode(state, i), _check_mode(state, j)
     return beam_splitter(state.n_modes, i, j, angle).apply(state)
 
 
@@ -199,7 +193,7 @@ def reduce(state: GaussianState, keep) -> GaussianState:
     if len(set(keep)) != len(keep):
         raise InvalidArgumentError("repeated mode index")
     for m in keep:
-        _check_mode(state, m)
+        _check_mode(state.n_modes, m)
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep])
     return GaussianState(len(keep), state.mean[idx],
                          state.cov[np.ix_(idx, idx)])
@@ -207,7 +201,7 @@ def reduce(state: GaussianState, keep) -> GaussianState:
 
 def quadrature_moments(state: GaussianState, mode: int, phase: float):
     """Mean and variance of cos(phase) X + sin(phase) Y on one mode."""
-    i = 2 * _check_mode(state, mode)
+    i = 2 * _check_mode(state.n_modes, mode)
     c, s = math.cos(phase), math.sin(phase)
     mean = c * state.mean[i] + s * state.mean[i + 1]
     v = state.cov

@@ -52,8 +52,8 @@ class PovmParams:
     thermal_base: float
     prefactor: float
 
-    def alpha_of(self, x: float, x_prime: float) -> complex:
-        """Displacement argument for the outcome pair (x, x_prime)."""
+    def alpha_of(self, x, x_prime):
+        """Displacement argument for outcomes (x, x_prime), scalars or arrays."""
         return (-0.5j * x
                 + (self.C * x_prime - self.E * x) / (2.0 * math.sqrt(self.disc)))
 
@@ -165,9 +165,7 @@ def povm_density_grid(params: PovmParams, xs, xps, input_state) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     xps = np.asarray(xps, dtype=float)
     gx, gp = np.meshgrid(xs, xps, indexing="ij")
-    alphas = (-0.5j * gx
-              + (params.C * gp - params.E * gx) / (2.0 * math.sqrt(params.disc)))
-    zs = (alphas * params.delta).ravel()
+    zs = (params.alpha_of(gx, gp) * params.delta).ravel()
     vals = _kernels.povm_grid_values(zs, s_dag, rho, weights,
                                      params.prefactor)
     return vals.reshape(gx.shape)

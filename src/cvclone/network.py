@@ -162,7 +162,8 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
 
     The symplectic backend takes a coherent amplitude or a single-mode
     GaussianState; the Fock backend takes a coherent amplitude or a
-    single-mode FockVector.
+    single-mode FockVector. A sigma != 1 Fock preparation meets the
+    guard-band policy before the network, labelled "preparation".
     """
     if backend == "gaussian":
         if isinstance(input_state, fock.FockVector):
@@ -206,7 +207,11 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
     if spec.prep_absorbed:
         rest = fock.vacuum_fock((truncation, truncation))
     else:
-        rest = preparation_state(spec.sigma, "fock", truncation=truncation)
+        # stage 1 carries no preparation squeeze here, so the network's own
+        # "after preparation" check never sees this state
+        rest = fock._leak_check(
+            preparation_state(spec.sigma, "fock", truncation=truncation),
+            "preparation")
     full = fock.tensor(vec_c, rest)
     out = fock.apply_network_fock(spec, full, method=method)
     return CloneResult(

@@ -292,6 +292,15 @@ def test_povm_refuses_truncated_coherent_input(capsys):
     assert "raise truncation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truncation", ["18", "32"])
+def test_clone_refuses_leaking_general_width_prep(truncation, capsys):
+    code = cli.main(["clone", "--lambda", "3", "--alpha", "0.1,0",
+                     "--sigma", "4", "--backend", "fock",
+                     "--truncation", truncation])
+    assert code == cli.EXIT_BAD_CONFIG == 2
+    assert "after preparation; raise truncation" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- cli: verify
 
 def test_verify_command_reports_and_skips(capsys):

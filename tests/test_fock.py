@@ -118,14 +118,53 @@ def test_expm_apply_against_dense():
     assert got is not block
 
 
+def _kron_ann(dims, mode):
+    """Dense lowering operator of one mode, by explicit Kronecker products."""
+    out = np.eye(1)
+    for k, d in enumerate(dims):
+        out = np.kron(out, np.diag(np.sqrt(np.arange(1.0, d)), 1) if k == mode
+                      else np.eye(d))
+    return out
+
+
+def test_pair_generator_matches_kronecker_products():
+    dims = (3, 4, 2)
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            ai, aj = _kron_ann(dims, i), _kron_ann(dims, j)
+            squeezer = fock.pair_generator("squeezer", dims, i, j).toarray()
+            splitter = fock.pair_generator("splitter", dims, i, j).toarray()
+            np.testing.assert_array_equal(squeezer, ai @ aj - ai.T @ aj.T)
+            np.testing.assert_array_equal(splitter, ai.T @ aj - ai @ aj.T)
+
+
+def test_network_generators_are_pair_generators():
+    dims = (5, 5, 5)
+    gens = {"A": ("squeezer", 2, 0), "B": ("splitter", 1, 0),
+            "C": ("squeezer", 1, 2)}
+    for kind, (pair, i, j) in gens.items():
+        got = fock.build_generator(kind, dims).toarray()
+        np.testing.assert_array_equal(
+            got, fock.pair_generator(pair, dims, i, j).toarray())
+
+
+def test_pair_generator_validation():
+    for kind, i, j in (("squeezer", 0, 0), ("splitter", 0, 3),
+                       ("squeezer", -1, 1), ("mixer", 0, 1)):
+        with pytest.raises(InvalidArgumentError):
+            fock.pair_generator(kind, (4, 4, 4), i, j)
+
+
 def test_operator_dag_and_apply():
     ann = fock.annihilation_matrix(6)
     vec = fock.coherent_fock(0.5, 6)
-    lowered = ann.apply(vec)
+    lowered = ann @ vec.amplitudes
     # coherent states are annihilation eigenvectors up to the truncated tail
-    np.testing.assert_allclose(lowered.amplitudes[:4],
-                               0.5 * vec.amplitudes[:4], atol=1e-4)
-    num = ann.dag().toarray() @ ann.toarray()
+    np.testing.assert_allclose(lowered[:4], 0.5 * vec.amplitudes[:4],
+                               atol=1e-4)
+    num = ann.conj().T @ ann
     np.testing.assert_allclose(num, np.diag(np.arange(6.0)), atol=1e-14)
 
 
@@ -282,3 +321,26 @@ def test_smeared_mixture_refusal_names_the_truncation(grid):
 def test_projector_form_needs_strong_coupling():
     with pytest.raises(InvalidArgumentError):
         fock.projector_form_check(fock.coherent_fock(0.5, 10), 2.0)
+
+
+@pytest.mark.parametrize("d, lam, alpha", [(9, 3.0, 0.2), (12, 6.0, 0.3j)])
+def test_projector_form_against_dense_reference(d, lam, alpha):
+    # d = 8 cannot run: the network output alone leaks 1.5e-2 there
+    phi = fock.coherent_fock(alpha, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        got = fock.projector_form_check(phi, lam)
+        psi = fock.tensor(phi, fock.vacuum_fock((d, d)))
+        out = fock.apply_network_fock(network.network_from_lambda(lam), psi)
+    t = out.amplitudes.reshape(d, d, d)
+    rho_ca = np.einsum("ijb,klb->ijkl", t, t.conj()).reshape(d * d, d * d)
+    rho_ca /= np.trace(rho_ca).real
+    c2, a2 = _kron_ann((d, d), 0), _kron_ann((d, d), 1)
+    rot = scipy_expm((math.pi / 4.0) * (c2.T @ a2 - c2 @ a2.T))
+    w = rot[:, np.repeat(np.arange(d) == 0, d)]        # c in vacuum
+    proj = w @ w.conj().T
+    kern = np.kron(np.outer(phi.amplitudes, phi.amplitudes.conj()), np.eye(d))
+    target = proj @ kern @ proj
+    target /= np.trace(target).real
+    expect = 0.5 * np.abs(np.linalg.eigvalsh(rho_ca - target)).sum()
+    assert abs(got - expect) < 1e-12

@@ -164,3 +164,17 @@ def test_state_construction_validation():
     skew[0, 1] = 1e-3
     with pytest.raises(InvalidArgumentError):
         gaussian.GaussianState(1, np.zeros(2), skew)
+
+
+@pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (0, 3), (3, 1)])
+def test_gate_constructors_refuse_out_of_range_modes(i, j):
+    # a negative index would otherwise wrap around to the last mode
+    for gate in (gaussian.two_mode_squeezer, gaussian.beam_splitter):
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            gate(3, i, j, 0.4)
+    state = gaussian.vacuum_state(3)
+    for apply in (gaussian.apply_two_mode_squeezer,
+                  gaussian.apply_beam_splitter):
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            apply(state, i, j, 0.4)
+

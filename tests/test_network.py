@@ -1,12 +1,13 @@
 """Network construction, gains, preparation states, end-to-end clone runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cvclone import checks, fock, gaussian, network
-from cvclone.errors import InvalidArgumentError
+from cvclone.errors import InvalidArgumentError, TruncationOverflowError
 
 T0 = math.atanh(1.0 / 3.0)
 
@@ -121,6 +122,27 @@ def test_general_width_prep_gaussian_branch():
     s2 = 0.8 ** 2
     assert prep.cov[0, 0] == 5.0 * s2 / 16.0
     assert prep.cov[1, 1] == 5.0 / (16.0 * s2)
+
+
+@pytest.mark.parametrize("method", ["merged", "literal"])
+@pytest.mark.parametrize("truncation", [18, 32])
+@pytest.mark.parametrize("sigma", [0.25, 4.0])
+def test_general_width_prep_is_leak_checked(sigma, truncation, method):
+    # the prepared (a, b) state alone holds guard-band mass 0.105 at T = 18
+    # and 0.019 at T = 32, so the run stops before the network
+    spec = network.network_from_lambda(3.0, sigma)
+    with pytest.raises(TruncationOverflowError, match="after preparation"):
+        network.run_cloner(0.1 + 0j, spec, backend="fock",
+                           truncation=truncation, method=method)
+
+
+def test_mild_general_width_prep_passes_its_leak_check():
+    # sigma = 2 at T = 18 leaks 7.4e-4, below the 1e-3 warning level
+    spec = network.network_from_lambda(3.0, 2.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        network.run_cloner(0.1 + 0j, spec, backend="fock", truncation=18)
+    assert not [w for w in caught if "preparation" in str(w.message)]
 
 
 def test_preparation_state_validation():

@@ -165,3 +165,24 @@ def test_trace_distance_metric_properties(seed):
     # eigensolves of negated differences agree only to roundoff
     assert dab == pytest.approx(fock.trace_distance(b, a), abs=1e-12)
     assert dab <= fock.trace_distance(a, c) + fock.trace_distance(c, b) + 1e-12
+
+
+@given(st.floats(min_value=1.0, max_value=8.0),
+       st.floats(min_value=-0.5, max_value=0.5),
+       st.floats(min_value=-0.5, max_value=0.5))
+@settings(max_examples=30, deadline=None)
+@pytest.mark.filterwarnings("ignore:guard-band leakage")
+def test_fock_and_gaussian_clone_moments_agree(lam, re, im):
+    # the two backends are independent; at d = 16 their clone moments agree
+    # to the benchmark's d = 16 tolerance (worst corner measured 2.8e-3)
+    spec = network.network_from_lambda(lam)
+    alpha = complex(re, im)
+    res_f = network.run_cloner(alpha, spec, backend="fock", truncation=16)
+    res_g = network.run_cloner(alpha, spec, backend="gaussian")
+    for rho, gauss in ((res_f.clone_c, res_g.clone_c),
+                       (res_f.clone_a, res_g.clone_a)):
+        for phase in (0.0, math.pi / 2.0):
+            mean_f, var_f = rho.quadrature_moments(phase)
+            mean_g, var_g = gaussian.quadrature_moments(gauss, 0, phase)
+            assert abs(mean_f - mean_g) < 5e-3
+            assert abs(var_f - var_g) < 5e-3
