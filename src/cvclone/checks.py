@@ -169,8 +169,22 @@ def _check_unitarity(truncation: int):
 
 # ----------------------------------------------------- backend equivalence
 
+# Largest total two-mode squeeze of a random equivalence circuit. A beam
+# splitter turns a squeezed pair into single-mode squeezing, whose photon
+# tail falls off only like tanh(r)^n, so the cap sets the tail at d = 25. At
+# 0.3 the moment gap over the 2000 circuits of seeds 0-199 and
+# 666291129-666291328 is at most 4.8e-9; a cap of 0.75 lets about one seed
+# in ten past the 1e-6 tolerance.
+_SQUEEZE_CAP = 0.3
+
+
 def _random_circuit(rng):
-    """Random 3-mode circuit inside the validated accuracy envelope."""
+    """Random 3-mode circuit inside the validated accuracy envelope.
+
+    The squeezes are scaled down together until their total is at most
+    _SQUEEZE_CAP; the scaling draws nothing, so the seed alone fixes the
+    gates and amplitudes.
+    """
     n_gates = int(rng.integers(1, 5))
     gates = []
     squeeze_total = 0.0
@@ -182,8 +196,8 @@ def _random_circuit(rng):
             r = float(rng.uniform(0.1, 0.5))
             gates.append(("tms", int(i), int(j), r))
             squeeze_total += r
-    if squeeze_total > 0.75:
-        scale = 0.75 / squeeze_total
+    if squeeze_total > _SQUEEZE_CAP:
+        scale = _SQUEEZE_CAP / squeeze_total
         gates = [(kind, i, j, s * scale if kind == "tms" else s)
                  for kind, i, j, s in gates]
     alphas = [complex(rng.uniform(-0.55, 0.55), rng.uniform(-0.55, 0.55))

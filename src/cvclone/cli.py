@@ -12,6 +12,7 @@ traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -290,7 +291,9 @@ _ALPHA_HELP = ("input coherent amplitude; write a negative real part as"
                " --alpha=-0.3,0.6")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args keeps no state
     parser = argparse.ArgumentParser(
         prog="cvclone",
         description="Simulate the three-amplifier one-to-two cloning network.")

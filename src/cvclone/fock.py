@@ -2,7 +2,11 @@
 
 Operators are plain arrays: dense numpy for single modes, scipy-sparse on the
 tensor space. Every two-mode gate generator, the pair squeezer or the
-splitter on one pair of modes, comes from ``pair_generator``. Around them sit
+splitter on one pair of modes, comes from ``pair_generator``; all of them are
+real (float64). ``expm_apply`` computes in the promoted dtype of generator and
+vector, so a state with zero imaginary part evolves in real arithmetic and a
+complex one in complex arithmetic, and ``apply_network_fock`` runs every
+state whose imaginary part is exactly zero as float64. Around them sit
 a dense scaling-and-squaring matrix exponential, network evolution by the
 action of the gate exponentials on the state (truncated Taylor steps sized by
 the Al-Mohy & Higham bounds, see ``expm_apply``), reduced density matrices,
@@ -138,7 +142,7 @@ def _mode_annihilations(dims: tuple):
         for k, dk in enumerate(dims):
             factor = mat if k == m else sp.identity(dk, format="csr")
             full = sp.kron(full, factor, format="csr")
-        ops.append(full.astype(np.complex128))
+        ops.append(full)
     return tuple(ops)
 
 
@@ -240,20 +244,32 @@ def matrix_exponential(op) -> np.ndarray:
 
 
 def _inf_norm(block: np.ndarray) -> float:
+    if block.ndim == 1:
+        return float(np.abs(block).max())
     return float(np.abs(block).reshape(block.shape[0], -1).sum(axis=1).max())
 
 
 def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
     """exp(mat) @ vec without forming exp(mat); mat sparse or dense.
 
-    ``vec`` is one vector (n,) or a block of columns (n, k). Truncated Taylor
+    ``vec`` is one vector (n,) or a block of columns (n, k); the result has
+    the promoted dtype of ``mat`` and ``vec`` (at least float64), so a real
+    generator on a real vector runs in real arithmetic. Truncated Taylor
     steps sized as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488:
     from the exact 1-norm, take the degree m in 20, 25, ..., 55 and the step
     count s = ceil(||mat||_1 / theta_m) that minimise m s, where theta_m is
     their double-precision bound (Table 3.1). Each step sums at most m terms
-    and stops once two successive terms fall below 2^-53 of the partial sum.
+    and stops once two successive terms fall below 2^-53 of the partial sum's
+    inf-norm. That norm is computed only when the triangle bound B, the
+    step's starting norm plus every term norm so far, admits a stop
+    (c1 + c2 <= 2^-52 B; the factor 2 absorbs rounding in B), so every
+    stopping decision is the one the exact test alone would take.
     """
-    v = np.array(vec, dtype=np.complex128)
+    v = np.asarray(vec)
+    dtype = np.result_type(v.dtype, mat.dtype, np.float64)
+    v = np.array(v, dtype=dtype)
+    if mat.dtype != dtype:
+        mat = mat.astype(dtype)
     norm = float(np.abs(mat).sum(axis=0).max())
     if norm == 0.0:
         return v
@@ -262,13 +278,15 @@ def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
                key=lambda ms: ms[0] * ms[1])
     for _ in range(s):
         term = v
-        c1 = _inf_norm(term)
+        c1 = bound = _inf_norm(term)
         for j in range(1, m + 1):
             term = mat @ term
             term *= 1.0 / (s * j)
             v += term
             c2 = _inf_norm(term)
-            if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(v):
+            bound += c2
+            if (c1 + c2 <= 2.0 * _UNIT_ROUNDOFF * bound
+                    and c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(v)):
                 break
             c1 = c2
     return v
@@ -300,19 +318,20 @@ def apply_network_fock(spec, state: FockVector,
     ``literal`` applies the three gates one by one; past moderate coupling it
     trips the truncation diagnostic by design. Guard-band leakage is checked
     after every factor: each gate on the literal path, and on the merged path
-    the preparation exp((s1 + s3) C) as well as the output.
+    the preparation exp((s1 + s3) C) as well as the output. A state whose
+    imaginary part is exactly zero evolves in real arithmetic.
     """
     if state.n_modes != 3:
         raise InvalidArgumentError("network input must have three modes")
     stages = spec.stages
     gens = _generators(state.dims)
     v = state.amplitudes
+    if not v.imag.any():
+        v = v.real
     if method == "literal":
-        out = FockVector(state.dims, v)
         for st in stages:
-            mat = gens[st.kind] * st.strength
-            out = _leak_check(FockVector(state.dims,
-                                         expm_apply(mat, out.amplitudes)),
+            v = expm_apply(gens[st.kind] * st.strength, v)
+            out = _leak_check(FockVector(state.dims, v),
                               f"stage {st.kind}({st.strength:+.3f})")
         return out
     if method != "merged":

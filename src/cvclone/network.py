@@ -154,6 +154,20 @@ def _network_transform(spec: CloningNetworkSpec) -> gaussian.SymplecticTransform
     return total
 
 
+def _charge_phases(unit: complex, dim: int) -> np.ndarray:
+    """unit^Q on the (c, a, b) tensor space, Q = n_c + n_a - n_b.
+
+    Powers come by repeated multiplication, so they are exact for
+    unit = +-1j; Q runs from 1 - dim to 2 dim - 2 and negative Q indexes
+    the table from its end.
+    """
+    n = np.arange(dim)
+    charge = (n[:, None, None] + n[None, :, None] - n[None, None, :]).ravel()
+    powers = np.cumprod(np.full(2 * dim - 2, unit))    # unit^1 .. unit^(2d-2)
+    table = np.concatenate(([1.0], powers, powers[dim - 2::-1].conj()))
+    return table[charge]
+
+
 def run_cloner(input_state: Union[complex, gaussian.GaussianState,
                                   fock.FockVector],
                spec: CloningNetworkSpec, backend: str = "gaussian",
@@ -164,6 +178,14 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
     GaussianState; the Fock backend takes a coherent amplitude or a
     single-mode FockVector. A sigma != 1 Fock preparation meets the
     guard-band policy before the network, labelled "preparation".
+
+    A coherent Fock input alpha = |alpha| e^(i phi) at sigma = 1 runs as the
+    real input |alpha|. The charge Q = n_c + n_a - n_b commutes with A, B and
+    C (each gate moves photons in pairs that leave Q fixed) and the vacuum
+    (a, b) input has Q = n_c, so U|alpha, 0, 0> = e^(i phi Q) U||alpha|, 0, 0>:
+    the real output is multiplied by e^(i phi Q). The phase comes from a
+    Fock-space charge, not from the symplectic matrix, so the backends stay
+    independent.
     """
     if backend == "gaussian":
         if isinstance(input_state, fock.FockVector):
@@ -197,13 +219,18 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
     if isinstance(input_state, gaussian.GaussianState):
         raise InvalidArgumentError(
             "fock backend needs a coherent amplitude or FockVector")
+    unit = 1.0
     if isinstance(input_state, fock.FockVector):
         if input_state.n_modes != 1 or input_state.dims[0] != truncation:
             raise InvalidArgumentError(
                 "input FockVector must be single-mode at the run truncation")
         vec_c = input_state.normalized()
     else:
-        vec_c = fock.coherent_fock(complex(input_state), truncation)
+        alpha = complex(input_state)
+        vec_c = fock.coherent_fock(alpha, truncation)
+        if spec.prep_absorbed and alpha.imag != 0.0:
+            unit = alpha / abs(alpha)
+            vec_c = fock.FockVector(vec_c.dims, np.abs(vec_c.amplitudes))
     if spec.prep_absorbed:
         rest = fock.vacuum_fock((truncation, truncation))
     else:
@@ -214,6 +241,9 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
             "preparation")
     full = fock.tensor(vec_c, rest)
     out = fock.apply_network_fock(spec, full, method=method)
+    if unit != 1.0:
+        out = fock.FockVector(out.dims,
+                              out.amplitudes * _charge_phases(unit, truncation))
     return CloneResult(
         "fock", out,
         clone_c=fock.reduced_density(out, 0),

@@ -390,3 +390,41 @@ def test_negative_real_alpha_in_equals_form(capsys):
 def test_argparse_error_maps_to_exit_two():
     assert cli.main(["sweep", "--alpha", "nonsense"]) == 2
     assert cli.main([]) != 0
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(["clone", "--help"])
+        assert exc.value.code == 0
+    first, second = capsys.readouterr().out.split("usage:")[1:]
+    assert first == second
+    assert cli.main(["clone", "--lambda", "3", "--alpha", "0.1,0",
+                     "--truncation", "20", "--sigma", "2"]) == 0
+    args = cli._build_parser().parse_args(["verify"])
+    assert (args.truncation, args.seed) == (None, None)
+    args = cli._build_parser().parse_args(["clone"])
+    assert (args.lam, args.alpha, args.sigma) == (None, None, None)
+    for _ in range(2):
+        assert cli.main(["clone", "--lambda", "x"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == err[len(err) // 2 - 1]
+    assert "invalid float value: 'x'" in err[-1]
+
+
+def test_random_circuits_keep_the_squeeze_cap():
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            gates, _ = checks._random_circuit(rng)
+            total = sum(s for kind, _, _, s in gates if kind == "tms")
+            assert total <= checks._SQUEEZE_CAP * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [5, 109, 110, 666291129, 666291192])
+def test_backend_equivalence_passes_where_the_tail_once_leaked(seed):
+    # with a total squeeze of 0.75 these seeds drew circuits whose output
+    # tail at d = 25 left moment gaps of 6e-5, 2.7e-4, 4.2e-4, 1.9e-6, 3.4e-3
+    status, detail = checks._check_backend_equivalence(25, seed)
+    assert status == "pass", detail

@@ -118,6 +118,93 @@ def test_expm_apply_against_dense():
     assert got is not block
 
 
+def _reference_expm_apply(mat, vec):
+    """The Taylor loop with an exact inf-norm on every term, in complex.
+
+    Same step sizing and stopping rule as ``fock.expm_apply``; the library
+    skips the norm of the partial sum while the triangle bound rules out a
+    stop, which must never change a decision.
+    """
+    theta = {20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2,
+             50: 8.5, 55: 9.9}
+    mat = mat.astype(np.complex128)
+    v = np.array(vec, dtype=np.complex128)
+    norm = float(np.abs(mat).sum(axis=0).max())
+    m, s = min(((m, math.ceil(norm / t)) for m, t in theta.items()),
+               key=lambda ms: ms[0] * ms[1])
+
+    def inf_norm(block):
+        return float(np.abs(block).reshape(block.shape[0], -1)
+                     .sum(axis=1).max())
+
+    for _ in range(s):
+        term = v
+        c1 = inf_norm(term)
+        for j in range(1, m + 1):
+            term = mat @ term
+            term *= 1.0 / (s * j)
+            v += term
+            c2 = inf_norm(term)
+            if c1 + c2 <= 2.0 ** -53 * inf_norm(v):
+                break
+            c1 = c2
+    return v
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_expm_apply_stops_where_every_norm_is_exact(d):
+    # the network generators at both ends of the coupling range, on a
+    # complex state and on a complex three-column block
+    rng = np.random.default_rng(d)
+    gens = fock._generators((d,) * 3)
+    state = fock.tensor(fock.coherent_fock(0.4 - 0.2j, d),
+                        fock.vacuum_fock((d, d))).amplitudes
+    block = rng.normal(size=(d ** 3, 3)) + 1j * rng.normal(size=(d ** 3, 3))
+    for lam in (0.8, 4.0, 12.0):
+        s1, s2, s3 = (st.strength
+                      for st in network.network_from_lambda(lam).stages)
+        for mat in (gens["C"] * s1, gens["A"] * s2, gens["C"] * s3,
+                    gens["A"] * (s2 * math.cosh(s3))
+                    + gens["B"] * (s2 * math.sinh(s3))):
+            for vec in (state, block):
+                np.testing.assert_array_equal(fock.expm_apply(mat, vec),
+                                              _reference_expm_apply(mat, vec))
+
+
+def test_expm_apply_on_the_unitarity_block_is_exact_reference():
+    # the 64 interior columns that verify's unitarity check evolves
+    d = 8
+    gens = fock._generators((d,) * 3)
+    keep = np.arange(d) < d - 4
+    mask = (keep[:, None, None] & keep[None, :, None]
+            & keep[None, None, :]).ravel()
+    got = want = np.eye(d ** 3, dtype=np.complex128)[:, mask]
+    assert got.shape[1] == 64
+    for st in network.network_from_lambda(0.8).stages:
+        mat = gens[st.kind] * st.strength
+        got = fock.expm_apply(mat, got)
+        want = _reference_expm_apply(mat, want)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_expm_apply_keeps_real_arithmetic_real():
+    gens = fock._generators((6, 6, 6))
+    assert gens["A"].dtype == np.float64
+    mat = 0.7 * gens["A"] + 0.3 * gens["B"]
+    rng = np.random.default_rng(11)
+    vec = rng.normal(size=6 ** 3)
+    dense = scipy_expm(mat.toarray())
+    got = fock.expm_apply(mat, vec)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, dense @ vec, atol=1e-12)
+    cvec = vec + 1j * rng.normal(size=6 ** 3)
+    got = fock.expm_apply(mat, cvec)
+    assert got.dtype == np.complex128
+    np.testing.assert_allclose(got, dense @ cvec, atol=1e-12)
+    # a real input is copied, never evolved in place
+    assert fock.expm_apply(mat, vec) is not vec
+
+
 def _kron_ann(dims, mode):
     """Dense lowering operator of one mode, by explicit Kronecker products."""
     out = np.eye(1)

@@ -217,6 +217,41 @@ def test_fock_vector_input_roundtrip():
     assert fock.trace_distance(a.clone_c, b.clone_c) < 1e-13
 
 
+@pytest.mark.parametrize("method, lam, d", [("merged", 3.0, 16),
+                                             ("literal", 0.8, 20)])
+@pytest.mark.parametrize("alpha", [0.4, 0.4j, -0.4,
+                                   0.3 * complex(math.cos(2.3),
+                                                 -math.sin(2.3)), 0j])
+def test_fock_clone_factors_the_input_phase(alpha, method, lam, d):
+    # run_cloner evolves |alpha| in real arithmetic and restores the phase
+    # as e^(i phi Q); the complex tensor input evolves without that step
+    spec = network.network_from_lambda(lam)
+    res = network.run_cloner(alpha, spec, backend="fock", truncation=d,
+                             method=method)
+    full = fock.tensor(fock.coherent_fock(alpha, d),
+                       fock.vacuum_fock((d, d)))
+    direct = fock.apply_network_fock(spec, full, method=method)
+    np.testing.assert_allclose(res.state.amplitudes, direct.amplitudes,
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore:guard-band leakage")
+def test_general_width_complex_input_matches_gaussian_moments():
+    # sigma != 1 keeps a complex alpha on the complex path; at d = 16 the
+    # sigma = 1.5 output leaks about 2e-3, over the warning level
+    spec = network.network_from_lambda(4.0, sigma=1.5)
+    alpha = 0.3 - 0.25j
+    res_f = network.run_cloner(alpha, spec, backend="fock", truncation=16)
+    res_g = network.run_cloner(alpha, spec, backend="gaussian")
+    for rho, gauss in ((res_f.clone_c, res_g.clone_c),
+                       (res_f.clone_a, res_g.clone_a)):
+        for phase in (0.0, math.pi / 2.0):
+            mean_f, var_f = rho.quadrature_moments(phase)
+            mean_g, var_g = gaussian.quadrature_moments(gauss, 0, phase)
+            assert abs(mean_f - mean_g) < 5e-3
+            assert abs(var_f - var_g) < 5e-3
+
+
 def test_run_cloner_input_validation():
     spec = network.network_from_lambda(2.0)
     with pytest.raises(InvalidArgumentError):
