@@ -3,11 +3,14 @@
 Each check compares two independent computation paths and reports a measured
 residual, so a failure message always carries numbers, not just a flag. The
 algebra checks that need headroom above the truncation edge are skipped, not
-failed, when the requested truncation cannot support them.
+failed, when the requested truncation cannot support them. Residuals are
+accumulated with np.maximum, which keeps a NaN and so fails the check, where
+the builtin max(worst, nan) would return worst.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -50,47 +53,82 @@ def _check_commutators(truncation: int):
     for left, right, expect in ((c, a, b), (c, b, a), (b, a, c)):
         resid = ((left @ right - right @ left - expect).tocsc()[:, mask])
         if resid.nnz:
-            worst = max(worst, float(np.abs(resid.data).max()))
+            worst = float(np.maximum(worst, np.abs(resid.data).max()))
     status = "pass" if worst < 1e-10 else "fail"
     return status, f"max interior residual {worst:.2e} (tol 1e-10)"
 
 
 # ------------------------------------------------------------- bch identity
 
-def _chain_expm(lam: float, weights: np.ndarray,
-                rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of exp(lam * chain) for an antisymmetric sector chain.
+def _sector_rows(lam: float, win: int, ncols: int) -> np.ndarray:
+    """Window rows of exp(lam G_k) for every sector k < win, in closed form.
 
-    The chain is the pair-squeeze generator restricted to one sector of fixed
-    photon difference: real, antisymmetric and tridiagonal, so its
-    exponential is orthogonal. diag(i^m) conjugates it into -i times a real
-    symmetric tridiagonal matrix T = Q diag(theta) Q^T, so the exponential
-    comes from one tridiagonal eigendecomposition instead of a dense
-    scaling-and-squaring run, and only the requested rows are ever formed.
-    Entry (r, c) is Re(i^(c-r) (C - iS)) with C = Q cos(lam theta) Q^T and
-    S = Q sin(lam theta) Q^T, which is C, S, -C or -S by (c - r) mod 4, so
-    two real products replace one complex one.
+    G_k is the pair-squeeze chain on the basis |n + k, n>, n = 0, 1, ...:
+    G[n-1, n] = sqrt(n (n + k)) = -G[n, n-1]. Returns E with
+    E[k, r, c] = <r| exp(lam G_k) |c> for r < win - k and c < ncols; the
+    rows r >= win - k are left zero. With t = tanh(lam) and
+    x = 1 - 2 / cosh(lam)^2, for r >= c
+
+        E[r, c] = (-1)^r t^(r-c) cosh(lam)^-(k+1)
+                  sqrt(c! (r+k)! / (r! (c+k)!)) P_c^(k, r-c)(x)
+
+    and E[r, c] = (-1)^(c-r) E[c, r] above the diagonal, so every entry is
+    (-1)^r t^|r-c| cosh(lam)^-(k+1) sqrt(binom(hi+k, hi) / binom(lo+k, lo))
+    P_lo^(k, |r-c|)(x) with lo, hi = min(r, c), max(r, c). The Jacobi
+    polynomials come from the three-term recurrence in the degree, which is
+    stable on x in (-1, 1), vectorised over (k, |r - c|).
     """
-    from scipy.linalg import eigh_tridiagonal
+    x = 1.0 - 2.0 / math.cosh(lam) ** 2
+    # below the diagonal |r - c| reaches win - 1 however few columns there are
+    span = max(ncols, win)
+    alpha = np.arange(win, dtype=float)[:, None]
+    beta = np.arange(span, dtype=float)[None, :]
+    ab = alpha + beta
+    # jac[n, k, beta] = P_n^(k, beta)(x)
+    jac = np.empty((win, win, span))
+    jac[0] = 1.0
+    if win > 1:
+        jac[1] = (alpha + 1.0) + (ab + 2.0) * (x - 1.0) * 0.5
+    for n in range(2, win):
+        c = 2.0 * n + ab
+        jac[n] = ((c - 1.0) * (c * (c - 2.0) * x + alpha ** 2 - beta ** 2)
+                  * jac[n - 1]
+                  - 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * c * jac[n - 2]
+                  ) / (2.0 * n * (n + ab) * (c - 2.0))
+    col = np.arange(ncols)
+    power = math.tanh(lam) ** np.arange(span)
+    level = np.arange(1.0, span)
+    rows = np.zeros((win, win, ncols))
+    for k in range(win):
+        r = np.arange(win - k)[:, None]
+        lo, hi, gap = np.minimum(r, col), np.maximum(r, col), np.abs(r - col)
+        # sqrt(binom(n + k, n)) by a running product
+        root = np.cumprod(np.concatenate(([1.0],
+                                          np.sqrt((level + k) / level))))
+        rows[k, :win - k] = (np.where(r & 1, -1.0, 1.0)
+                             * math.cosh(lam) ** -(k + 1) * power[gap]
+                             * (root[hi] / root[lo]) * jac[lo, k, gap])
+    return rows
 
-    n = weights.size + 1
-    if n == 1:
-        return np.ones((1, 1))[rows]
-    theta, q = eigh_tridiagonal(np.zeros(n), weights)
-    q_rows = q[rows]
-    cos_part = (q_rows * np.cos(lam * theta)) @ q.T
-    sin_part = (q_rows * np.sin(lam * theta)) @ q.T
-    idx = np.arange(n)
-    shift = (idx[None, :] - idx[rows][:, None]) % 4
-    return (np.where(shift & 1, sin_part, cos_part)
-            * np.where(shift & 2, -1.0, 1.0))
 
+def _window_rows(lam: float, win: int) -> np.ndarray:
+    """``_sector_rows`` on enough levels that the dropped tail is negligible.
 
-def _bch_pad(win: int, lam: float) -> int:
-    # squeeze matrix elements grow binomially along a sector, so the pad
-    # must scale like window * e^(2 lam); calibrated so edge effects stay
-    # below 1e-10 inside the window for every window size down to 8
-    return int(math.ceil(win * math.exp(2.0 * lam) * 2.0)) + 5
+    Squeezing spreads a window state about win * e^(2 lam) levels deep, and
+    the count starts at twice that. It grows by half until the last quarter
+    of every window row holds less than 1e-20 of the row's unit norm. The
+    rows decay like tanh(lam)^n out there, so the tail beyond is smaller
+    still, and by Cauchy-Schwarz a product of two rows over the kept levels
+    misses less than 1e-20 per unit weight.
+    """
+    ncols = int(math.ceil(2.0 * win * math.exp(2.0 * lam)))
+    while True:
+        rows = _sector_rows(lam, win, ncols)
+        tail = float((rows[..., -(ncols // 4):] ** 2).sum(axis=-1).max())
+        # a NaN stops the growth too, and the check then reports it
+        if not tail >= 1e-20:
+            return rows
+        ncols += ncols // 2
 
 
 def _check_bch(truncation: int):
@@ -98,50 +136,45 @@ def _check_bch(truncation: int):
 
     Checks exp(s C) b exp(-s C) = cosh(s) b + sinh(s) a^dag entrywise on the
     window below the guard band. The three-mode statement follows because the
-    pair squeezer commutes with the third mode. Each sector is evolved inside
-    a padded chain so the truncation edge never reaches the window.
+    pair squeezer commutes with the third mode. Each sector of fixed photon
+    difference k is an untruncated chain, and the window rows of its
+    exponential are SU(1,1) matrix elements in closed form (``_sector_rows``):
+    Truax's normal-ordered product exp(-t a^dag b^dag) cosh(s)^-(n_a+n_b+1)
+    exp(t ab), t = tanh s (Phys. Rev. D 31 (1985) 1988), summed as a Jacobi
+    polynomial (Perelomov, Generalized Coherent States and Their
+    Applications, Springer 1986). The products sum over as many levels of
+    each chain as ``_window_rows`` finds the rows need, so no truncation edge
+    reaches the window.
     """
     win = truncation - GUARD_BAND
     worst = 0.0
     for lam in _BCH_STRENGTHS:
-        pad = _bch_pad(win, lam)
-        expms = {}
-
-        def sector(k, _lam=lam, _pad=pad, _cache=expms):
-            # window rows of the sector exponential; the residual is only
-            # read on the window, so the other rows are never needed.
-            # Sector -k is sector k with na and nb swapped: the chain
-            # weights sqrt(na nb) and the window are symmetric in the two,
-            # so each |k| is exponentiated once
-            if abs(k) not in _cache:
-                nb = np.arange(_pad - abs(k))
-                na = nb + abs(k)
-                win_rows = (na < win) & (nb < win)
-                _cache[abs(k)] = (na, nb, win_rows,
-                                  _chain_expm(_lam, np.sqrt(na[1:] * nb[1:]),
-                                              win_rows))
-            na, nb, win_rows, ek = _cache[abs(k)]
-            return (na, nb, win_rows, ek) if k >= 0 else (nb, na, win_rows, ek)
-
-        for k in range(-win, win - 1):
-            na, nb, cols, ek = sector(k)
-            na2, _, rows, ek2 = sector(k + 1)
-            length, length2 = na.size, na2.size
-            m = np.arange(length)
-            # lowering b: (na, nb) -> (na, nb - 1), amplitude sqrt(nb)
-            bmat = np.zeros((length2, length))
-            mp = m - 1 if k >= 0 else m
-            ok = (nb > 0) & (mp >= 0) & (mp < length2)
-            bmat[mp[ok], m[ok]] = np.sqrt(nb[ok])
-            conjugated = ek2 @ bmat @ ek.T
-            target = math.cosh(lam) * bmat
-            # raising a: (na, nb) -> (na + 1, nb), amplitude sqrt(na + 1)
-            mp2 = na + 1 - max(k + 1, 0)
-            ok2 = (mp2 >= 0) & (mp2 < length2) & (na + 1 < pad)
-            target[mp2[ok2], m[ok2]] += math.sinh(lam) * np.sqrt(na[ok2] + 1.0)
-            diff = np.abs(conjugated - target[np.ix_(rows, cols)])
-            if diff.size:
-                worst = max(worst, float(diff.max()))
+        rows = _window_rows(lam, win)
+        ncols = rows.shape[-1]
+        sqrt_m = np.sqrt(np.arange(ncols))
+        # sector -k is sector k with na and nb swapped: the chain weights
+        # sqrt(na nb) and the window are symmetric in the two, so the rows of
+        # |k| serve both
+        for k in range(1 - win, win - 1):
+            ek = rows[abs(k), :win - abs(k)]
+            ek2 = rows[abs(k + 1), :win - abs(k + 1)]
+            target = np.zeros((ek2.shape[0], ek.shape[0]))
+            # lowering b takes (na, nb) to (na, nb - 1) with amplitude
+            # sqrt(nb), raising a takes it to (na + 1, nb) with sqrt(na + 1).
+            # For k >= 0 the chain index is nb, so b shifts it down by one and
+            # a keeps it; for k < 0 it is na, so b keeps it and a shifts it up
+            if k >= 0:
+                conjugated = (ek2[:, :-1] * sqrt_m[1:]) @ ek[:, 1:].T
+                i = np.arange(target.shape[0])
+                target[i, i + 1] = math.cosh(lam) * sqrt_m[i + 1]
+                target[i, i] = math.sinh(lam) * np.sqrt(i + k + 1.0)
+            else:
+                conjugated = (ek2 * np.sqrt(np.arange(ncols) - k)) @ ek.T
+                i = np.arange(target.shape[1])
+                target[i, i] = math.cosh(lam) * np.sqrt(i - k)
+                target[i + 1, i] = math.sinh(lam) * sqrt_m[i + 1]
+            worst = float(np.maximum(worst,
+                                     np.abs(conjugated - target).max()))
     status = "pass" if worst < 1e-8 else "fail"
     return status, f"max window residual {worst:.2e} (tol 1e-8)"
 
@@ -156,12 +189,12 @@ def _check_unitarity(truncation: int):
     keep = np.arange(d) < d - GUARD_BAND
     mask = (keep[:, None, None] & keep[None, :, None]
             & keep[None, None, :]).ravel()
-    # entry (i, j) of U^dag U is U[:, i]^dag U[:, j], so the interior block
-    # needs only the interior columns of U
-    u = np.eye(d ** 3, dtype=np.complex128)[:, mask]
+    # the generators are real, so U is real and entry (i, j) of U^dag U is
+    # U[:, i]^T U[:, j]: the interior block needs only the interior columns
+    u = np.eye(d ** 3)[:, mask]
     for stage in spec.stages:
         u = fock.expm_apply(gens[stage.kind] * stage.strength, u)
-    resid = u.conj().T @ u - np.eye(u.shape[1])
+    resid = u.T @ u - np.eye(u.shape[1])
     worst = float(np.abs(resid).max())
     status = "pass" if worst < 1e-8 else "fail"
     return status, f"max |U^dag U - 1| {worst:.2e} on interior (tol 1e-8)"
@@ -205,13 +238,22 @@ def _random_circuit(rng):
     return gates, alphas
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_generator(kind: str, dims: tuple, i: int, j: int):
+    # only six (kind, pair) generators exist per truncation; callers scale
+    # the shared matrix and never write to it
+    return fock.pair_generator(kind, dims, i, j)
+
+
 def _fock_moments(amps: np.ndarray, dims: tuple):
-    ann = fock._mode_annihilations(dims)
-    quads = []
-    for op in ann:
-        quads.append((op + op.conj().T) * 0.5)
-        quads.append((op - op.conj().T) * (-0.5j))
-    vecs = [q @ amps for q in quads]
+    # each lowering operator a is real, so a^dag psi = a^T psi, and the
+    # quadratures (a + a^dag) / 2 and (a - a^dag) / 2i act on psi as
+    # (u + v) / 2 and -i (u - v) / 2 with u = a psi and v = a^T psi
+    vecs = []
+    for op in fock._mode_annihilations(dims):
+        u, v = op @ amps, op.T @ amps
+        vecs.append((u + v) * 0.5)
+        vecs.append((u - v) * (-0.5j))
     mean = np.array([float(np.real(np.vdot(amps, v))) for v in vecs])
     n = 2 * len(dims)
     cov = np.empty((n, n))
@@ -233,10 +275,10 @@ def _check_backend_equivalence(truncation: int, seed: int):
         total = gaussian.SymplecticTransform(np.eye(6))
         for kind, i, j, s in gates:
             if kind == "tms":
-                gen = fock.pair_generator("squeezer", dims, i, j)
+                gen = _pair_generator("squeezer", dims, i, j)
                 total = gaussian.two_mode_squeezer(3, i, j, s).compose(total)
             else:
-                gen = fock.pair_generator("splitter", dims, i, j)
+                gen = _pair_generator("splitter", dims, i, j)
                 total = gaussian.beam_splitter(3, i, j, s).compose(total)
             amps = fock.expm_apply(s * gen, amps)
         mean_in = np.empty(6)
@@ -245,8 +287,9 @@ def _check_backend_equivalence(truncation: int, seed: int):
         mean_g = total.matrix @ mean_in
         cov_g = total.matrix @ total.matrix.T * 0.25
         mean_f, cov_f = _fock_moments(amps, dims)
-        worst = max(worst, float(np.abs(mean_f - mean_g).max()),
-                    float(np.abs(cov_f - cov_g).max()))
+        gap = np.maximum(np.abs(mean_f - mean_g).max(),
+                         np.abs(cov_f - cov_g).max())
+        worst = float(np.maximum(worst, gap))
     status = "pass" if worst < 1e-6 else "fail"
     return status, f"max moment gap {worst:.2e} over 5 circuits (tol 1e-6)"
 
@@ -265,7 +308,8 @@ def _check_weyl_covariance(truncation: int, seed: int):
         moved = network.run_cloner(alpha, spec, backend="fock", truncation=d)
         disp = _kernels.displacement_matrix(gain_amp * alpha, d)
         shifted = disp @ base.clone_c.matrix @ disp.conj().T
-        worst = max(worst, fock.trace_distance(moved.clone_c, shifted))
+        worst = float(np.maximum(
+            worst, fock.trace_distance(moved.clone_c, shifted)))
     status = "pass" if worst < 1e-3 else "fail"
     return status, f"max displaced-clone distance {worst:.2e} (tol 1e-3)"
 

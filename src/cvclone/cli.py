@@ -244,14 +244,12 @@ def cmd_clone(cfg: RunConfig) -> int:
 
 
 def cmd_povm(cfg: RunConfig) -> int:
-    from scipy.integrate import trapezoid
-
     params = measurement.povm_params(cfg.lam, cfg.phi, cfg.theta)
     alpha = cfg.alpha if cfg.alpha is not None else 0j
     probe = fock.coherent_fock(alpha, cfg.truncation)
     xs = np.linspace(-cfg.grid_xmax, cfg.grid_xmax, cfg.grid_n)
     vals = measurement.povm_density_grid(params, xs, xs, probe)
-    integral = float(trapezoid(trapezoid(vals, xs, axis=1), xs))
+    integral = float(np.trapezoid(np.trapezoid(vals, xs, axis=1), xs))
     out = open(cfg.out, "w", encoding="utf-8", newline="\n") if cfg.out else sys.stdout
     try:
         out.write(f"# lambda = {_fmt(cfg.lam)} phi = {_fmt(cfg.phi)} "

@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial.hermite import hermgauss
 
 from . import _kernels
@@ -135,6 +134,9 @@ def annihilation_matrix(dim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _mode_annihilations(dims: tuple):
     """Sparse lowering operator for each mode of the full tensor space."""
+    # imported here so that commands without a tensor space never load scipy
+    import scipy.sparse as sp
+
     ops = []
     for m, d in enumerate(dims):
         mat = sp.csr_matrix(annihilation_matrix(d))

@@ -1,5 +1,8 @@
 """Verification suite wiring and the command-line surface."""
 
+import functools
+import json
+import math
 import os
 import re
 import subprocess
@@ -85,20 +88,120 @@ def test_wrong_gains_are_caught_by_name(skewed_gains):
     assert all(not r.failed for r in others)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40])
-@pytest.mark.parametrize("k", [0, 3])
+@functools.lru_cache(maxsize=None)
+def _dense_chain_rows(k, lam):
+    # first six rows of exp(lam G_k) for a chain of 600 levels: rows with
+    # k + r <= 22 are still squeezed well short of its edge at lam = 1.2
+    na = np.arange(600) + k
+    nb = np.arange(600)
+    w = np.sqrt(na[1:] * nb[1:])
+    chain = np.diag(w, 1) - np.diag(w, -1)
+    return scipy.linalg.expm(lam * chain)[:6]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 300])
+@pytest.mark.parametrize("k", [0, 3, 17])
 @pytest.mark.parametrize("lam", [0.3, 1.2])
 def test_chain_expm_matches_dense_expm(n, k, lam):
-    # lengths 1-5 reach every (c - r) mod 4 case of the real-arithmetic form
-    na = np.arange(n) + k
-    nb = np.arange(n)
-    w = np.sqrt(na[1:] * nb[1:])
-    rows = (na < 6) & (nb < 6)
-    chain = np.diag(w, 1) - np.diag(w, -1)
-    dense = scipy.linalg.expm(lam * chain)[rows]
-    got = checks._chain_expm(lam, w, rows)
+    # n closed-form columns, at most half the dense chain; with 1-5 columns
+    # for six rows, entries below the diagonal reach |r - c| past the last
+    # column
+    got = checks._sector_rows(lam, k + 6, n)[k, :6]
+    dense = _dense_chain_rows(k, lam)[:, :n]
     assert got.shape == dense.shape
-    assert np.abs(got - dense).max(initial=0.0) < 1e-13
+    assert np.abs(got - dense).max() < 1e-13
+
+
+@pytest.mark.parametrize("truncation", [12, 16, 25, 32])
+def test_window_rows_have_unit_norm(truncation):
+    # exact rows of the orthogonal sector exponential have unit norm, so a
+    # column count too short for the tail would show here
+    win = truncation - checks.GUARD_BAND
+    for lam in checks._BCH_STRENGTHS:
+        rows = checks._window_rows(lam, win)
+        for k in range(win):
+            norms = (rows[k, :win - k] ** 2).sum(axis=1)
+            assert np.abs(norms - 1.0).max() < 1e-13, (lam, k)
+
+
+def _padded_chain_rows(lam, weights, rows):
+    # rows of exp(lam G) for a chain cut at weights.size + 1 levels: G is
+    # diag(i^m) (-i T) diag(i^-m) with T = Q diag(theta) Q^T symmetric, so
+    # entry (r, c) is Re(i^(c-r) (C - iS)) with C = Q cos(lam theta) Q^T and
+    # S = Q sin(lam theta) Q^T
+    n = weights.size + 1
+    if n == 1:
+        return np.ones((1, 1))[rows]
+    theta, q = scipy.linalg.eigh_tridiagonal(np.zeros(n), weights)
+    q_rows = q[rows]
+    cos_part = (q_rows * np.cos(lam * theta)) @ q.T
+    sin_part = (q_rows * np.sin(lam * theta)) @ q.T
+    idx = np.arange(n)
+    shift = (idx[None, :] - idx[rows][:, None]) % 4
+    return (np.where(shift & 1, sin_part, cos_part)
+            * np.where(shift & 2, -1.0, 1.0))
+
+
+def _padded_chain_bch_residual(truncation):
+    """The window residual as the eigendecomposition version computed it.
+
+    Each sector chain is cut at a pad of 2 win e^(2 lam) + 5 levels and
+    exponentiated through one tridiagonal eigendecomposition.
+    """
+    win = truncation - checks.GUARD_BAND
+    worst = 0.0
+    for lam in checks._BCH_STRENGTHS:
+        pad = int(math.ceil(win * math.exp(2.0 * lam) * 2.0)) + 5
+        cache = {}
+
+        def sector(k):
+            if abs(k) not in cache:
+                nb = np.arange(pad - abs(k))
+                na = nb + abs(k)
+                win_rows = (na < win) & (nb < win)
+                cache[abs(k)] = (na, nb, win_rows, _padded_chain_rows(
+                    lam, np.sqrt(na[1:] * nb[1:]), win_rows))
+            na, nb, win_rows, ek = cache[abs(k)]
+            return (na, nb, win_rows, ek) if k >= 0 else (nb, na, win_rows, ek)
+
+        for k in range(-win, win - 1):
+            na, nb, cols, ek = sector(k)
+            na2, _, rows, ek2 = sector(k + 1)
+            length, length2 = na.size, na2.size
+            m = np.arange(length)
+            bmat = np.zeros((length2, length))
+            mp = m - 1 if k >= 0 else m
+            ok = (nb > 0) & (mp >= 0) & (mp < length2)
+            bmat[mp[ok], m[ok]] = np.sqrt(nb[ok])
+            conjugated = ek2 @ bmat @ ek.T
+            target = math.cosh(lam) * bmat
+            mp2 = na + 1 - max(k + 1, 0)
+            ok2 = (mp2 >= 0) & (mp2 < length2) & (na + 1 < pad)
+            target[mp2[ok2], m[ok2]] += math.sinh(lam) * np.sqrt(na[ok2] + 1.0)
+            diff = np.abs(conjugated - target[np.ix_(rows, cols)])
+            if diff.size:
+                worst = max(worst, float(diff.max()))
+    return worst
+
+
+def _bch_residual(truncation):
+    status, detail = checks._check_bch(truncation)
+    assert status == "pass", detail
+    return float(detail.split()[3])
+
+
+@pytest.mark.parametrize("truncation", [14, 16, 20, 25, 28, 32])
+def test_bch_residual_matches_padded_chain(truncation):
+    ref = _padded_chain_bch_residual(truncation)
+    got = _bch_residual(truncation)
+    assert got < 1e-12
+    assert abs(got - ref) < 1e-12
+
+
+@pytest.mark.parametrize("truncation", [12, 13])
+def test_bch_residual_beats_padded_chain_at_its_edge(truncation):
+    # the fixed pad lets the chain edge reach the window at these sizes
+    assert _bch_residual(truncation) < _padded_chain_bch_residual(truncation)
 
 
 def _scaled(fn):
@@ -106,7 +209,7 @@ def _scaled(fn):
 
 
 def test_bch_check_fails_on_perturbed_sector_exponential(monkeypatch):
-    monkeypatch.setattr(checks, "_chain_expm", _scaled(checks._chain_expm))
+    monkeypatch.setattr(checks, "_sector_rows", _scaled(checks._sector_rows))
     status, detail = checks._check_bch(12)
     assert status == "fail", detail
 
@@ -115,6 +218,20 @@ def test_unitarity_check_fails_on_perturbed_exponential(monkeypatch):
     monkeypatch.setattr(fock, "expm_apply", _scaled(fock.expm_apply))
     status, detail = checks._check_unitarity(12)
     assert status == "fail", detail
+
+
+def test_nan_residuals_fail_their_checks(monkeypatch):
+    # the builtin max(0.0, nan) is 0.0, which once let NaN amplitudes pass
+    # backend-equivalence with a moment gap of 0.00e+00
+    exact = fock.expm_apply
+    monkeypatch.setattr(fock, "expm_apply",
+                        lambda mat, vec: exact(mat, vec) * np.nan)
+    status, detail = checks._check_backend_equivalence(25, 21)
+    assert status == "fail" and "nan" in detail, detail
+    monkeypatch.setattr(fock, "expm_apply", exact)
+    monkeypatch.setattr(fock, "trace_distance", lambda r1, r2: math.nan)
+    status, detail = checks._check_weyl_covariance(16, 21)
+    assert status == "fail" and "nan" in detail, detail
 
 
 def test_run_all_truncation_bounds():
@@ -359,6 +476,40 @@ def test_fock_paths_do_not_import_scipy_linalg():
     assert out.stdout.strip() == "False"
 
 
+_LOADED_SCIPY = (
+    "import json, sys\n"
+    "from cvclone import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules\n"
+    "                               if m.split('.')[0] == 'scipy')]))\n")
+
+
+def _scipy_modules_after(argv):
+    out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv],
+                         capture_output=True, text=True, env=_child_env())
+    code, modules = json.loads(out.stdout.strip().splitlines()[-1])
+    assert code == 0, out.stderr
+    return modules
+
+
+def test_commands_import_only_the_scipy_they_use(tmp_path):
+    # importing scipy.sparse costs about 0.3 s and scipy.integrate about
+    # 0.5 s in a fresh process; the Gaussian backend and the outcome grid
+    # need neither, and verify needs no scipy.linalg
+    gaussian_runs = [
+        ["clone", "--lambda", "3", "--alpha", "0.5,0.0"],
+        ["sweep", "--lambda-min", "1", "--lambda-max", "8", "--steps", "4",
+         "--alpha", "0.5,0.0", "--out", str(tmp_path / "sweep.csv")],
+        ["povm", "--lambda", "3", "--phi", "0", "--theta", "1.5707963",
+         "--grid", "41,4.0", "--out", str(tmp_path / "povm.csv")],
+    ]
+    for argv in gaussian_runs:
+        assert _scipy_modules_after(argv) == [], argv[0]
+    loaded = _scipy_modules_after(["verify", "--truncation", "12"])
+    assert "scipy.sparse" in loaded
+    assert "scipy.linalg" not in loaded
+
+
 def test_unexpected_error_maps_to_exit_four(monkeypatch, capsys):
     def broken(cfg):
         raise RuntimeError("boom")
@@ -420,6 +571,37 @@ def test_random_circuits_keep_the_squeeze_cap():
             gates, _ = checks._random_circuit(rng)
             total = sum(s for kind, _, _, s in gates if kind == "tms")
             assert total <= checks._SQUEEZE_CAP * (1.0 + 1e-12)
+
+
+def _quadrature_operator_moments(amps, dims):
+    # the moments as formed from six complex quadrature matrices
+    quads = []
+    for op in fock._mode_annihilations(dims):
+        quads.append((op + op.conj().T) * 0.5)
+        quads.append((op - op.conj().T) * (-0.5j))
+    vecs = [q @ amps for q in quads]
+    mean = np.array([float(np.real(np.vdot(amps, v))) for v in vecs])
+    cov = np.array([[float(np.real(np.vdot(u, v))) for v in vecs]
+                    for u in vecs])
+    return mean, cov - np.outer(mean, mean)
+
+
+@pytest.mark.parametrize("seed", [21, 1234, 666291129])
+def test_fock_moments_match_quadrature_operators(seed):
+    dims = (25,) * 3
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        gates, alphas = checks._random_circuit(rng)
+        amps = fock.tensor(*[fock.coherent_fock(al, 25)
+                             for al in alphas]).amplitudes
+        for kind, i, j, s in gates:
+            name = "squeezer" if kind == "tms" else "splitter"
+            amps = fock.expm_apply(s * fock.pair_generator(name, dims, i, j),
+                                   amps)
+        mean, cov = checks._fock_moments(amps, dims)
+        ref_mean, ref_cov = _quadrature_operator_moments(amps, dims)
+        assert np.abs(mean - ref_mean).max() < 1e-14
+        assert np.abs(cov - ref_cov).max() < 1e-14
 
 
 @pytest.mark.parametrize("seed", [5, 109, 110, 666291129, 666291192])
