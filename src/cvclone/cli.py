@@ -12,6 +12,7 @@ traceback).
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import sys
@@ -77,8 +78,9 @@ class RunConfig:
             raise InvalidArgumentError("backend must be gaussian or fock")
         if self.grid_n is not None and self.grid_n < 2:
             raise InvalidArgumentError("grid size must be at least 2")
-        if self.grid_xmax is not None and self.grid_xmax <= 0:
-            raise InvalidArgumentError("grid extent must be positive")
+        if self.grid_xmax is not None and not 0 < self.grid_xmax < math.inf:
+            raise InvalidArgumentError(
+                "grid extent must be positive and finite")
         return self
 
 
@@ -89,9 +91,12 @@ def _parse_complex(text: str) -> complex:
     if len(parts) != 2:
         raise InvalidArgumentError(f"alpha must be RE,IM (got {text!r})")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        alpha = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise InvalidArgumentError(f"bad alpha component: {exc}") from exc
+    if not cmath.isfinite(alpha):
+        raise InvalidArgumentError(f"alpha must be finite (got {text!r})")
+    return alpha
 
 
 def _parse_grid(text: str):

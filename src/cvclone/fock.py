@@ -320,8 +320,9 @@ def apply_network_fock(spec, state: FockVector,
     ``literal`` applies the three gates one by one; past moderate coupling it
     trips the truncation diagnostic by design. Guard-band leakage is checked
     after every factor: each gate on the literal path, and on the merged path
-    the preparation exp((s1 + s3) C) as well as the output. A state whose
-    imaginary part is exactly zero evolves in real arithmetic.
+    the output and any preparation exp((s1 + s3) C); ``run_cloner`` passes
+    s1 = -s3 and its own closed-form preparation. A state whose imaginary
+    part is exactly zero evolves in real arithmetic.
     """
     if state.n_modes != 3:
         raise InvalidArgumentError("network input must have three modes")
@@ -498,8 +499,8 @@ def projector_form_check(phi: FockVector, lam: float) -> float:
     from . import network
 
     d = phi.dims[0]
-    psi = tensor(phi.normalized(), vacuum_fock((d,)), vacuum_fock((d,)))
-    out = apply_network_fock(network.network_from_lambda(lam), psi)
+    out = network.run_cloner(phi, network.network_from_lambda(lam),
+                             backend="fock", truncation=d).state
     t = out.amplitudes.reshape(d, d, d)
     rho_ca = np.einsum("ijb,klb->ijkl", t, t.conj()).reshape(d * d, d * d)
     rho_ca /= np.trace(rho_ca).real

@@ -19,14 +19,15 @@ only -lam and the preparation state is supplied explicitly by
 in Y. That preparation is the twin beam squeezed locally by ln sigma on both
 modes: the symplectic backend carries its closed-form covariance, the Fock
 backend applies the truncated squeezer S(ln sigma) to each mode of the twin
-beam.
+beam and starts every sigma, 1 included, from it with stage 1 at -lam.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -53,7 +54,8 @@ class CloningNetworkSpec:
 
     @property
     def prep_absorbed(self) -> bool:
-        """True when stage 1 already contains the preparation squeeze."""
+        """True when stage 1 holds the preparation squeeze (read by the
+        symplectic backend, and by the Fock backend for the input phase)."""
         return self.sigma == 1.0
 
 
@@ -168,6 +170,13 @@ def _charge_phases(unit: complex, dim: int) -> np.ndarray:
     return table[charge]
 
 
+def _finite_amplitude(value) -> complex:
+    alpha = complex(value)
+    if not cmath.isfinite(alpha):
+        raise InvalidArgumentError(f"coherent amplitude {alpha} is not finite")
+    return alpha
+
+
 def run_cloner(input_state: Union[complex, gaussian.GaussianState,
                                   fock.FockVector],
                spec: CloningNetworkSpec, backend: str = "gaussian",
@@ -176,16 +185,16 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
 
     The symplectic backend takes a coherent amplitude or a single-mode
     GaussianState; the Fock backend takes a coherent amplitude or a
-    single-mode FockVector. A sigma != 1 Fock preparation meets the
-    guard-band policy before the network, labelled "preparation".
+    single-mode FockVector. Amplitudes must be finite. The Fock backend
+    starts (a, b) in ``preparation_state`` at every sigma, leak-checked as
+    "preparation", and runs stage 1 at -lam.
 
     A coherent Fock input alpha = |alpha| e^(i phi) at sigma = 1 runs as the
     real input |alpha|. The charge Q = n_c + n_a - n_b commutes with A, B and
-    C (each gate moves photons in pairs that leave Q fixed) and the vacuum
-    (a, b) input has Q = n_c, so U|alpha, 0, 0> = e^(i phi Q) U||alpha|, 0, 0>:
-    the real output is multiplied by e^(i phi Q). The phase comes from a
-    Fock-space charge, not from the symplectic matrix, so the backends stay
-    independent.
+    C (each gate moves photons in pairs that leave Q fixed) and the twin beam
+    has n_a = n_b, so U|alpha, chi> = e^(i phi Q) U||alpha|, chi>: the real
+    output is multiplied by e^(i phi Q). The phase comes from a Fock-space
+    charge, not from the symplectic matrix, so the backends stay independent.
     """
     if backend == "gaussian":
         if isinstance(input_state, fock.FockVector):
@@ -196,7 +205,7 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
                 raise InvalidArgumentError("input must be single-mode")
             mean_c, cov_c = input_state.mean, input_state.cov
         else:
-            alpha = complex(input_state)
+            alpha = _finite_amplitude(input_state)
             mean_c = np.array([alpha.real, alpha.imag])
             cov_c = np.eye(2) / 4.0
         mean = np.zeros(6)
@@ -226,21 +235,16 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
                 "input FockVector must be single-mode at the run truncation")
         vec_c = input_state.normalized()
     else:
-        alpha = complex(input_state)
+        alpha = _finite_amplitude(input_state)
         vec_c = fock.coherent_fock(alpha, truncation)
         if spec.prep_absorbed and alpha.imag != 0.0:
             unit = alpha / abs(alpha)
             vec_c = fock.FockVector(vec_c.dims, np.abs(vec_c.amplitudes))
-    if spec.prep_absorbed:
-        rest = fock.vacuum_fock((truncation, truncation))
-    else:
-        # stage 1 carries no preparation squeeze here, so the network's own
-        # "after preparation" check never sees this state
-        rest = fock._leak_check(
-            preparation_state(spec.sigma, "fock", truncation=truncation),
-            "preparation")
-    full = fock.tensor(vec_c, rest)
-    out = fock.apply_network_fock(spec, full, method=method)
+    prep = preparation_state(spec.sigma, "fock", truncation=truncation)
+    full = fock.tensor(vec_c, fock._leak_check(prep, "preparation"))
+    stages = (spec.stages[0]._replace(strength=-spec.lam),) + spec.stages[1:]
+    out = fock.apply_network_fock(replace(spec, stages=stages), full,
+                                  method=method)
     if unit != 1.0:
         out = fock.FockVector(out.dims,
                               out.amplitudes * _charge_phases(unit, truncation))

@@ -326,6 +326,30 @@ def test_exit_codes_for_bad_parameters(tmp_path):
                      "--theta", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["clone", "--lambda", "3", "--alpha", "nan,0"],
+    ["clone", "--lambda", "3", "--alpha", "inf,0"],
+    ["clone", "--lambda", "3", "--alpha", "0,-inf", "--backend", "fock"],
+    ["povm", "--lambda", "3", "--phi", "0", "--theta", "1.57",
+     "--grid", "41,nan"],
+    ["povm", "--lambda", "3", "--phi", "0", "--theta", "1.57",
+     "--grid", "41,inf"],
+])
+def test_non_finite_input_exits_two(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_non_finite_config_alpha_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 3\nalpha = nan,0\n", encoding="utf-8")
+    assert cli.main(["clone", "--config", str(cfg),
+                     "--backend", "fock"]) == 2
+    err = capsys.readouterr().err
+    assert "alpha must be finite" in err
+    assert "raise truncation" not in err
+
+
 def test_exit_code_for_unwritable_output(tmp_path):
     assert cli.main(["sweep", "--lambda-min", "1", "--lambda-max", "2",
                      "--steps", "2", "--alpha", "1,0",

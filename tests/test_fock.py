@@ -417,8 +417,8 @@ def test_projector_form_against_dense_reference(d, lam, alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         got = fock.projector_form_check(phi, lam)
-        psi = fock.tensor(phi, fock.vacuum_fock((d, d)))
-        out = fock.apply_network_fock(network.network_from_lambda(lam), psi)
+        out = network.run_cloner(phi, network.network_from_lambda(lam),
+                                 backend="fock", truncation=d).state
     t = out.amplitudes.reshape(d, d, d)
     rho_ca = np.einsum("ijb,klb->ijkl", t, t.conj()).reshape(d * d, d * d)
     rho_ca /= np.trace(rho_ca).real

@@ -224,15 +224,72 @@ def test_fock_vector_input_roundtrip():
                                                  -math.sin(2.3)), 0j])
 def test_fock_clone_factors_the_input_phase(alpha, method, lam, d):
     # run_cloner evolves |alpha| in real arithmetic and restores the phase
-    # as e^(i phi Q); the complex tensor input evolves without that step
+    # as e^(i phi Q); the complex tensor input evolves without that step,
+    # from the same closed-form twin beam through stages 1-3 at -lam
     spec = network.network_from_lambda(lam)
     res = network.run_cloner(alpha, spec, backend="fock", truncation=d,
                              method=method)
     full = fock.tensor(fock.coherent_fock(alpha, d),
-                       fock.vacuum_fock((d, d)))
-    direct = fock.apply_network_fock(spec, full, method=method)
+                       network.preparation_state(1.0, "fock", d))
+    stripped = network.CloningNetworkSpec(
+        lam, 1.0, (spec.stages[0]._replace(strength=-lam),) + spec.stages[1:])
+    direct = fock.apply_network_fock(stripped, full, method=method)
     np.testing.assert_allclose(res.state.amplitudes, direct.amplitudes,
                                rtol=0, atol=1e-14)
+
+
+def test_symmetric_fock_run_evolves_once(monkeypatch):
+    # the twin beam comes in closed form, so only the mixed A/B factor is
+    # exponentiated; a vacuum start would also Taylor-run exp(atanh(1/3) C)
+    calls = []
+    real = fock.expm_apply
+
+    def spy(mat, vec):
+        calls.append(mat.shape)
+        return real(mat, vec)
+
+    monkeypatch.setattr(fock, "expm_apply", spy)
+    network.run_cloner(0.3 - 0.2j, network.network_from_lambda(3.0),
+                       backend="fock", truncation=16)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+def test_fock_run_leak_checks_preparation_then_network(monkeypatch, sigma):
+    labels = []
+    real = fock._leak_check
+
+    def spy(vec, where):
+        labels.append(where)
+        return real(vec, where)
+
+    monkeypatch.setattr(fock, "_leak_check", spy)
+    network.run_cloner(0.3, network.network_from_lambda(3.0, sigma),
+                       backend="fock", truncation=24)
+    assert labels == ["preparation", "merged network"]
+
+
+@pytest.mark.parametrize("d", [25, 32])
+@pytest.mark.parametrize("alpha", [0.5, 0.3 - 0.4j])
+def test_symmetric_fock_run_matches_vacuum_start(alpha, d):
+    # exp(atanh(1/3) C) on the (a, b) vacuum is the twin beam up to the
+    # truncation edge; a preparation applied twice would miss by O(1)
+    spec = network.network_from_lambda(3.0)
+    res = network.run_cloner(alpha, spec, backend="fock", truncation=d)
+    ref = fock.apply_network_fock(
+        spec, fock.tensor(fock.coherent_fock(alpha, d),
+                          fock.vacuum_fock((d, d))))
+    np.testing.assert_allclose(res.state.amplitudes, ref.amplitudes,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "fock"])
+@pytest.mark.parametrize("alpha", [complex(math.nan, 0.0),
+                                   complex(0.0, math.inf), -math.inf])
+def test_run_cloner_refuses_non_finite_amplitude(alpha, backend):
+    spec = network.network_from_lambda(3.0)
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        network.run_cloner(alpha, spec, backend=backend, truncation=12)
 
 
 @pytest.mark.filterwarnings("ignore:guard-band leakage")
