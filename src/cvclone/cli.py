@@ -109,6 +109,23 @@ def _parse_grid(text: str):
         raise InvalidArgumentError(f"bad grid component: {exc}") from exc
 
 
+def _argument_type(parse):
+    """``parse`` as an argparse type that keeps its error message.
+
+    argparse reports a ValueError from a type as "invalid <name> value";
+    an ArgumentTypeError carries its own text, still with exit code 2.
+    """
+    def convert(text: str):
+        try:
+            return parse(text)
+        except InvalidArgumentError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
+
+
+_ALPHA_ARG = _argument_type(_parse_complex)
+_GRID_ARG = _argument_type(_parse_grid)
+
 _CONFIG_PARSERS = {
     "lambda": ("lam", float),
     "lambda_min": ("lambda_min", float),
@@ -318,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambda-min", dest="lambda_min", type=float)
     p_sweep.add_argument("--lambda-max", dest="lambda_max", type=float)
     p_sweep.add_argument("--steps", type=int, default=None)
-    p_sweep.add_argument("--alpha", type=_parse_complex, metavar="RE,IM",
+    p_sweep.add_argument("--alpha", type=_ALPHA_ARG, metavar="RE,IM",
                          help=_ALPHA_HELP)
     p_sweep.add_argument("--sigma", type=float, default=None)
     p_sweep.add_argument("--out", help="output CSV path")
@@ -326,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_clone = sub.add_parser("clone", help="single cloning run summary")
     common(p_clone)
     p_clone.add_argument("--lambda", dest="lam", type=float)
-    p_clone.add_argument("--alpha", type=_parse_complex, metavar="RE,IM",
+    p_clone.add_argument("--alpha", type=_ALPHA_ARG, metavar="RE,IM",
                          help=_ALPHA_HELP)
     p_clone.add_argument("--sigma", type=float, default=None)
     p_clone.add_argument("--backend", choices=("gaussian", "fock"))
@@ -341,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_povm.add_argument("--lambda", dest="lam", type=float)
     p_povm.add_argument("--phi", type=float)
     p_povm.add_argument("--theta", type=float)
-    p_povm.add_argument("--grid", type=_parse_grid, metavar="N,XMAX")
-    p_povm.add_argument("--alpha", type=_parse_complex, metavar="RE,IM",
+    p_povm.add_argument("--grid", type=_GRID_ARG, metavar="N,XMAX")
+    p_povm.add_argument("--alpha", type=_ALPHA_ARG, metavar="RE,IM",
                         help=_ALPHA_HELP + " (default 0,0)")
     p_povm.add_argument("--out", help="optional output path (default stdout)")
 

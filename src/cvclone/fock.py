@@ -2,25 +2,33 @@
 
 Operators are plain arrays: dense numpy for single modes, scipy-sparse on the
 tensor space. Every two-mode gate generator, the pair squeezer or the
-splitter on one pair of modes, comes from ``pair_generator``; all of them are
-real (float64). ``expm_apply`` computes in the promoted dtype of generator and
-vector, so a state with zero imaginary part evolves in real arithmetic and a
-complex one in complex arithmetic, and ``apply_network_fock`` runs every
-state whose imaginary part is exactly zero as float64. Around them sit
-a dense scaling-and-squaring matrix exponential, network evolution by the
-action of the gate exponentials on the state (truncated Taylor steps sized by
-the Al-Mohy & Higham bounds, see ``expm_apply``), reduced density matrices,
-and the displaced-mixture integral. This module is the ground truth the
-symplectic backend is checked against.
+splitter on one pair of modes, comes from ``pair_generator`` as a real
+(float64) DIA matrix of two diagonals, built from the mode-major index. Around
+them sit a dense scaling-and-squaring matrix exponential for single modes,
+network evolution by the action of the gate exponentials on the state
+(``expm_apply``), reduced density matrices, and the displaced-mixture
+integral. This module is the ground truth the symplectic backend is checked
+against.
+
+``expm_apply`` sums the Chebyshev expansion of exp(G) v (Tal-Ezer & Kosloff
+1984). G must be anti-Hermitian, which every truncated bilinear generator is
+exactly; then rho = ||G||_1 bounds ||G||_2, the weights are the Bessel values
+J_k(rho), and the number of terms is fixed from rho before the first product,
+so that the dropped tail is below 2^-53 ||v||_2. A generator that is not
+anti-Hermitian is refused. The recurrence runs in the promoted dtype of
+generator and vector, so a state with zero imaginary part evolves in real
+arithmetic and a complex one in complex arithmetic, and
+``apply_network_fock`` runs every state whose imaginary part is exactly zero
+as float64.
 
 Mode order for three-mode vectors is (c, a, b): c carries the input, a the
 second clone, b the ancilla. Index layout is mode-major,
 ``flat = (n_c * d_a + n_a) * d_b + n_b``.
 
-A truncated bilinear generator is exactly anti-Hermitian, so gate exponentials
-are exactly unitary and norm loss cannot signal truncation failure. The
-truncation diagnostic used instead is guard-band leakage: probability mass in
-the top two levels of any mode (warn above 1e-3, raise above 1e-2).
+Since the generators are exactly anti-Hermitian, gate exponentials are
+unitary and norm loss cannot signal truncation failure. The truncation
+diagnostic used instead is guard-band leakage: probability mass in the top
+two levels of any mode (warn above 1e-3, raise above 1e-2, and raise on NaN).
 """
 
 from __future__ import annotations
@@ -149,30 +157,51 @@ def _mode_annihilations(dims: tuple):
 
 
 def pair_generator(kind: str, dims, i: int, j: int):
-    """Sparse two-mode generator on modes (i, j) of the tensor space ``dims``.
+    """Two-mode generator on modes (i, j) of ``dims``, a DIA sparse matrix.
 
     ``"squeezer"`` is ij - i^dag j^dag and ``"splitter"`` is
     i^dag j - i j^dag, the generators of ``gaussian.two_mode_squeezer`` and
-    ``gaussian.beam_splitter`` on the same pair.
+    ``gaussian.beam_splitter`` on the same pair. Either is T - T^T for a
+    term T on one diagonal, ij or i^dag j, whose weight in column ``flat``
+    is read off the occupations of the mode-major index. The diagonal data
+    span the full width, one entry per column.
     """
+    # imported here so that commands without a tensor space never load scipy
+    import scipy.sparse as sp
+
     dims = tuple(int(d) for d in dims)
     for m in (i, j):
         if not 0 <= m < len(dims):
             raise InvalidArgumentError(f"mode {m} out of range")
     if i == j:
         raise InvalidArgumentError("a pair generator needs two distinct modes")
-    ann = _mode_annihilations(dims)
-    ai, aj = ann[i], ann[j]
-    if kind == "squeezer":
-        return (ai @ aj - ai.conj().T @ aj.conj().T).tocsr()
-    if kind == "splitter":
-        return (ai.conj().T @ aj - ai @ aj.conj().T).tocsr()
-    raise InvalidArgumentError(f"unknown pair generator {kind!r}")
+    size = math.prod(dims)
+    strides = [math.prod(dims[m + 1:]) for m in range(len(dims))]
+    flat = np.arange(size)
+    n_i = flat // strides[i] % dims[i]
+    n_j = flat // strides[j] % dims[j]
+    if kind == "squeezer":                  # T = ij lowers both modes
+        weight = np.sqrt(n_i) * np.sqrt(n_j)
+        offset = strides[i] + strides[j]
+    elif kind == "splitter":                # T = i^dag j moves j into i
+        weight = np.sqrt(n_i + 1) * np.sqrt(n_j) * (n_i < dims[i] - 1)
+        offset = strides[j] - strides[i]
+    else:
+        raise InvalidArgumentError(f"unknown pair generator {kind!r}")
+    # T[c - offset, c] = weight[c], so -T^T holds -weight[c + offset] in
+    # column c of the mirror diagonal -offset
+    mirror = np.zeros(size)
+    if offset > 0:
+        mirror[:size - offset] = -weight[offset:]
+    else:
+        mirror[-offset:] = -weight[:size + offset]
+    return sp.dia_matrix((np.stack((weight, mirror)), [offset, -offset]),
+                         shape=(size, size))
 
 
 @functools.lru_cache(maxsize=16)
 def _generators(dims: tuple):
-    """The three network generators as sparse matrices on (c, a, b).
+    """The three network generators as DIA matrices on (c, a, b).
 
     A squeezes the pair (b, c) and C the pair (a, b); B is the splitter
     coupling of (a, c).
@@ -183,7 +212,7 @@ def _generators(dims: tuple):
 
 
 def build_generator(kind: str, dims):
-    """One of the three network generators, a sparse matrix on (c, a, b)."""
+    """One of the three network generators, a DIA matrix on (c, a, b)."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3:
         raise InvalidArgumentError("generators live on three modes")
@@ -194,10 +223,6 @@ def build_generator(kind: str, dims):
 
 # ------------------------------------------------------- matrix exponentials
 
-# Largest ||A||_1 for which the degree-m Taylor step meets double-precision
-# backward error, Al-Mohy & Higham (2011), Table 3.1.
-_TAYLOR_THETA = {20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2,
-                 50: 8.5, 55: 9.9}
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -245,60 +270,123 @@ def matrix_exponential(op) -> np.ndarray:
     return _expm_dense(mat)
 
 
-def _inf_norm(block: np.ndarray) -> float:
-    if block.ndim == 1:
-        return float(np.abs(block).max())
-    return float(np.abs(block).reshape(block.shape[0], -1).sum(axis=1).max())
+def _chebyshev_coefficients(rho: float) -> np.ndarray:
+    """The weights (2 - delta_k0) J_k(rho), k < K, of the Chebyshev sum.
+
+    K is the first index with 2 sum_{k >= K} |J_k(rho)| < 2^-53. The Bessel
+    values come from Miller's backward recurrence
+    J_(k-1) = (2k / rho) J_k - J_(k+1), started well past the transition
+    region k ~ rho + rho^(1/3) where J_k(rho) falls off super-exponentially,
+    rescaled whenever it grows large and normalised by
+    J_0 + 2 sum_k J_2k = 1.
+    """
+    if rho < 2.0 ** -26:
+        # J_0 rounds to 1 and 2 J_1 to rho; the tail is below rho^2 / 4
+        return np.array([1.0, rho])
+    start = int(rho + 20.0 * rho ** (1.0 / 3.0)) + 40
+    vals = np.zeros(start + 1)
+    above, cur = 0.0, 1.0
+    vals[start] = cur
+    for k in range(start, 0, -1):
+        above, cur = cur, (2.0 * k / rho) * cur - above
+        vals[k - 1] = cur
+        if abs(cur) > 1e250:
+            vals[k - 1:] *= 1e-250
+            above, cur = above * 1e-250, cur * 1e-250
+    vals /= vals[0] + 2.0 * vals[2::2].sum()
+    tail = np.cumsum(np.abs(vals[::-1]))[::-1]
+    cut = int(np.argmax(2.0 * tail < _UNIT_ROUNDOFF))
+    coef = 2.0 * vals[:cut]
+    coef[0] = vals[0]
+    return coef
+
+
+def _full_width(dia) -> np.ndarray:
+    """The diagonals of a square DIA matrix as rows of one entry per column."""
+    n, width = dia.shape[1], dia.data.shape[1]
+    if width >= n:
+        return dia.data[:, :n]
+    return np.pad(dia.data, ((0, 0), (0, n - width)))
+
+
+def _is_anti_hermitian(mat) -> bool:
+    """Whether mat == -mat^H exactly, in O(nnz) for sparse input.
+
+    A DIA matrix is compared diagonal by diagonal: column c of offset k
+    holds mat[c - k, c], which must be minus the conjugate of column c - k
+    of offset -k.
+    """
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        return False
+    if isinstance(mat, np.ndarray):
+        return np.array_equal(mat, -mat.conj().T)
+    if mat.format != "dia":
+        return not (mat + mat.conj().T).tocsr().data.any()
+    n = mat.shape[0]
+    rows = dict(zip(mat.offsets.tolist(), _full_width(mat)))
+    zero = np.zeros(n, mat.dtype)
+    for k in {abs(k) for k in rows if abs(k) < n}:
+        upper = rows.get(k, zero)[k:]
+        lower = rows.get(-k, zero)[:n - k]
+        if not np.array_equal(upper, -lower.conj()):
+            return False
+    return True
 
 
 def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
-    """exp(mat) @ vec without forming exp(mat); mat sparse or dense.
+    """exp(mat) @ vec for an anti-Hermitian mat, sparse or dense.
 
     ``vec`` is one vector (n,) or a block of columns (n, k); the result has
     the promoted dtype of ``mat`` and ``vec`` (at least float64), so a real
-    generator on a real vector runs in real arithmetic. Truncated Taylor
-    steps sized as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488:
-    from the exact 1-norm, take the degree m in 20, 25, ..., 55 and the step
-    count s = ceil(||mat||_1 / theta_m) that minimise m s, where theta_m is
-    their double-precision bound (Table 3.1). Each step sums at most m terms
-    and stops once two successive terms fall below 2^-53 of the partial sum's
-    inf-norm. That norm is computed only when the triangle bound B, the
-    step's starting norm plus every term norm so far, admits a stop
-    (c1 + c2 <= 2^-52 B; the factor 2 absorbs rounding in B), so every
-    stopping decision is the one the exact test alone would take.
+    generator on a real vector runs in real arithmetic. A matrix that is not
+    exactly anti-Hermitian raises InvalidArgumentError: the expansion below
+    holds only on the imaginary axis.
+
+    The method is the Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81 (1984) 3967. For anti-Hermitian G the 1-norm equals the
+    inf-norm, so rho = ||G||_1 bounds ||G||_2, and with u_0 = v,
+    u_1 = G v / rho and u_(k+1) = (2 / rho) G u_k + u_(k-1),
+
+        exp(G) v = sum_k (2 - delta_k0) J_k(rho) u_k.
+
+    Each u_k is i^k T_k(G / i rho) v, so ||u_k||_2 <= ||v||_2 and cutting
+    the sum where 2 sum_{k >= K} |J_k(rho)| < 2^-53 bounds the error by
+    2^-53 ||v||_2. The cut is fixed before the loop, from rho alone.
     """
     v = np.asarray(vec)
     dtype = np.result_type(v.dtype, mat.dtype, np.float64)
-    v = np.array(v, dtype=dtype)
+    if not _is_anti_hermitian(mat):
+        raise InvalidArgumentError(
+            "expm_apply needs an anti-Hermitian generator")
     if mat.dtype != dtype:
         mat = mat.astype(dtype)
-    norm = float(np.abs(mat).sum(axis=0).max())
-    if norm == 0.0:
-        return v
-    m, s = min(((m, math.ceil(norm / theta))
-                for m, theta in _TAYLOR_THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
-    for _ in range(s):
-        term = v
-        c1 = bound = _inf_norm(term)
-        for j in range(1, m + 1):
-            term = mat @ term
-            term *= 1.0 / (s * j)
-            v += term
-            c2 = _inf_norm(term)
-            bound += c2
-            if (c1 + c2 <= 2.0 * _UNIT_ROUNDOFF * bound
-                    and c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(v)):
-                break
-            c1 = c2
-    return v
+    u_prev = np.array(v, dtype=dtype)
+    if getattr(mat, "format", None) == "dia":
+        rho = float(np.abs(_full_width(mat)).sum(axis=0).max())
+    else:
+        rho = float(abs(mat).sum(axis=0).max())
+    if rho == 0.0:
+        return u_prev
+    coef = _chebyshev_coefficients(rho)
+    step = mat * (2.0 / rho)
+    u = step @ u_prev
+    u *= 0.5
+    out = coef[0] * u_prev + coef[1] * u
+    scratch = np.empty_like(out)
+    for c in coef[2:]:
+        nxt = step @ u
+        nxt += u_prev
+        u_prev, u = u, nxt
+        np.multiply(u, c, out=scratch)
+        out += scratch
+    return out
 
 
 # ------------------------------------------------------------------- network
 
 def _leak_check(vec: FockVector, where: str) -> FockVector:
     leak = vec.leakage()
-    if leak > _LEAK_FAIL:
+    if not leak <= _LEAK_FAIL:                          # NaN fails as well
         raise TruncationOverflowError(
             f"guard-band leakage {leak:.2e} after {where}; raise truncation")
     if leak > _LEAK_WARN:
@@ -347,7 +435,15 @@ def apply_network_fock(spec, state: FockVector,
     if abs(prep) > 0:
         v = expm_apply(gens["C"] * prep, v)
         _leak_check(FockVector(state.dims, v), "preparation")
-    mixed = gens["A"] * (s2 * math.cosh(s3)) + gens["B"] * (s2 * math.sinh(s3))
+    import scipy.sparse as sp
+
+    # A and B lie on distinct diagonals, so the mixed factor stacks their
+    # scaled full-width data
+    a, b = gens["A"], gens["B"]
+    mixed = sp.dia_matrix(
+        (np.concatenate((a.data * (s2 * math.cosh(s3)),
+                         b.data * (s2 * math.sinh(s3)))),
+         np.concatenate((a.offsets, b.offsets))), shape=a.shape)
     v = expm_apply(mixed, v)
     return _leak_check(FockVector(state.dims, v), "merged network")
 

@@ -185,9 +185,11 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
 
     The symplectic backend takes a coherent amplitude or a single-mode
     GaussianState; the Fock backend takes a coherent amplitude or a
-    single-mode FockVector. Amplitudes must be finite. The Fock backend
-    starts (a, b) in ``preparation_state`` at every sigma, leak-checked as
-    "preparation", and runs stage 1 at -lam.
+    single-mode FockVector. Amplitudes, means and covariances must be
+    finite; the check sits here rather than in GaussianState, whose
+    construction the symplectic backend repeats on every call. The Fock
+    backend starts (a, b) in ``preparation_state`` at every sigma,
+    leak-checked as "preparation", and runs stage 1 at -lam.
 
     A coherent Fock input alpha = |alpha| e^(i phi) at sigma = 1 runs as the
     real input |alpha|. The charge Q = n_c + n_a - n_b commutes with A, B and
@@ -204,6 +206,11 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
             if input_state.n_modes != 1:
                 raise InvalidArgumentError("input must be single-mode")
             mean_c, cov_c = input_state.mean, input_state.cov
+            # six scalar tests cost a quarter of np.isfinite on two arrays
+            if not all(map(math.isfinite,
+                           mean_c.tolist() + cov_c.ravel().tolist())):
+                raise InvalidArgumentError(
+                    "input GaussianState mean or covariance is not finite")
         else:
             alpha = _finite_amplitude(input_state)
             mean_c = np.array([alpha.real, alpha.imag])
@@ -233,6 +240,9 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
         if input_state.n_modes != 1 or input_state.dims[0] != truncation:
             raise InvalidArgumentError(
                 "input FockVector must be single-mode at the run truncation")
+        if not np.isfinite(input_state.amplitudes).all():
+            raise InvalidArgumentError(
+                "input FockVector amplitudes are not finite")
         vec_c = input_state.normalized()
     else:
         alpha = _finite_amplitude(input_state)

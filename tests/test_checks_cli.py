@@ -340,6 +340,27 @@ def test_non_finite_input_exits_two(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+_POVM = ["povm", "--lambda", "3", "--phi", "0", "--theta", "1.57"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["clone", "--lambda", "3", "--alpha", "nan,0"],
+     "argument --alpha: alpha must be finite (got 'nan,0')"),
+    (["clone", "--lambda", "3", "--alpha", "0.5"],
+     "argument --alpha: alpha must be RE,IM (got '0.5')"),
+    (["sweep", "--alpha", "1,x"], "argument --alpha: bad alpha component"),
+    (_POVM + ["--grid", "41,abc"], "argument --grid: bad grid component"),
+    (_POVM + ["--grid", "41"], "argument --grid: grid must be N,XMAX"),
+], ids=["alpha-nan", "alpha-one-part", "alpha-bad-part", "grid-bad-part",
+        "grid-one-part"])
+def test_flag_parse_errors_keep_their_message(argv, message, capsys):
+    # argparse once replaced these with "invalid _parse_complex value"
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "_parse" not in err
+
+
 def test_non_finite_config_alpha_exits_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambda = 3\nalpha = nan,0\n", encoding="utf-8")

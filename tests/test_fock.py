@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm as scipy_expm
+from scipy.special import jv
 
 from cvclone import _kernels, fock, network
 from cvclone.errors import (GridTooCoarseError, InvalidArgumentError,
@@ -66,6 +68,15 @@ def test_leakage_counts_top_levels():
     assert fock.FockVector((5, 5), amps).leakage() == pytest.approx(0.09)
 
 
+def test_leak_check_refuses_nan():
+    # NaN > 1e-2 is False, so a bare comparison would let it through
+    amps = np.zeros(27, np.complex128)
+    amps[0] = math.nan
+    with pytest.raises(TruncationOverflowError,
+                       match="leakage nan after merged network"):
+        fock._leak_check(fock.FockVector((3, 3, 3), amps), "merged network")
+
+
 def test_generators_are_anti_hermitian():
     for kind in ("A", "B", "C"):
         g = fock.build_generator(kind, (5, 5, 5)).toarray()
@@ -88,7 +99,7 @@ def test_expm_apply_against_dense():
     np.testing.assert_allclose(got, scipy_expm(gen) @ vec, atol=1e-11)
 
     # the network's sparse generators at d = 8: single stages, the merged
-    # A/B mix, and at lam = 12 1-norms near 156, which take 16 Taylor steps
+    # A/B mix, and at lam = 12 1-norms near 156, which take 216 products
     dims = (8, 8, 8)
     gens = fock._generators(dims)
     state = fock.tensor(fock.coherent_fock(0.4 - 0.2j, 8),
@@ -118,73 +129,86 @@ def test_expm_apply_against_dense():
     assert got is not block
 
 
-def _reference_expm_apply(mat, vec):
-    """The Taylor loop with an exact inf-norm on every term, in complex.
-
-    Same step sizing and stopping rule as ``fock.expm_apply``; the library
-    skips the norm of the partial sum while the triangle bound rules out a
-    stop, which must never change a decision.
-    """
-    theta = {20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2,
-             50: 8.5, 55: 9.9}
-    mat = mat.astype(np.complex128)
-    v = np.array(vec, dtype=np.complex128)
-    norm = float(np.abs(mat).sum(axis=0).max())
-    m, s = min(((m, math.ceil(norm / t)) for m, t in theta.items()),
-               key=lambda ms: ms[0] * ms[1])
-
-    def inf_norm(block):
-        return float(np.abs(block).reshape(block.shape[0], -1)
-                     .sum(axis=1).max())
-
-    for _ in range(s):
-        term = v
-        c1 = inf_norm(term)
-        for j in range(1, m + 1):
-            term = mat @ term
-            term *= 1.0 / (s * j)
-            v += term
-            c2 = inf_norm(term)
-            if c1 + c2 <= 2.0 ** -53 * inf_norm(v):
-                break
-            c1 = c2
-    return v
-
-
-@pytest.mark.parametrize("d", [8, 12])
-def test_expm_apply_stops_where_every_norm_is_exact(d):
-    # the network generators at both ends of the coupling range, on a
-    # complex state and on a complex three-column block
+def test_expm_apply_matches_dense_expm_on_network_generators():
+    # every network factor at both ends of the coupling range, on a complex
+    # state, a complex three-column block and the 64 interior columns that
+    # verify's unitarity check evolves
+    d = 8
     rng = np.random.default_rng(d)
     gens = fock._generators((d,) * 3)
     state = fock.tensor(fock.coherent_fock(0.4 - 0.2j, d),
                         fock.vacuum_fock((d, d))).amplitudes
     block = rng.normal(size=(d ** 3, 3)) + 1j * rng.normal(size=(d ** 3, 3))
+    block /= np.linalg.norm(block, axis=0)
+    keep = np.arange(d) < d - 4
+    mask = (keep[:, None, None] & keep[None, :, None]
+            & keep[None, None, :]).ravel()
+    interior = np.eye(d ** 3, dtype=np.complex128)[:, mask]
+    assert interior.shape[1] == 64
     for lam in (0.8, 4.0, 12.0):
         s1, s2, s3 = (st.strength
                       for st in network.network_from_lambda(lam).stages)
         for mat in (gens["C"] * s1, gens["A"] * s2, gens["C"] * s3,
                     gens["A"] * (s2 * math.cosh(s3))
                     + gens["B"] * (s2 * math.sinh(s3))):
-            for vec in (state, block):
-                np.testing.assert_array_equal(fock.expm_apply(mat, vec),
-                                              _reference_expm_apply(mat, vec))
+            dense = scipy_expm(mat.toarray())
+            for vec in (state, block, interior):
+                np.testing.assert_allclose(fock.expm_apply(mat, vec),
+                                           dense @ vec, rtol=0, atol=1e-12)
 
 
-def test_expm_apply_on_the_unitarity_block_is_exact_reference():
-    # the 64 interior columns that verify's unitarity check evolves
-    d = 8
-    gens = fock._generators((d,) * 3)
-    keep = np.arange(d) < d - 4
-    mask = (keep[:, None, None] & keep[None, :, None]
-            & keep[None, None, :]).ravel()
-    got = want = np.eye(d ** 3, dtype=np.complex128)[:, mask]
-    assert got.shape[1] == 64
-    for st in network.network_from_lambda(0.8).stages:
-        mat = gens[st.kind] * st.strength
-        got = fock.expm_apply(mat, got)
-        want = _reference_expm_apply(mat, want)
-        np.testing.assert_array_equal(got, want)
+@pytest.mark.parametrize("rho", [0.5, 42.0, 94.0, 456.0])
+def test_chebyshev_coefficients_are_bessel_values(rho):
+    coef = fock._chebyshev_coefficients(rho)
+    k = np.arange(len(coef) + 60)
+    ref = jv(k, rho)
+    # against 40-digit values, the weights 2 J_k from scipy's jv are off by
+    # up to 1.8e-14 at rho = 456, those of the backward recurrence by 2e-16
+    np.testing.assert_allclose(coef[0], ref[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(coef[1:], 2.0 * ref[1:len(coef)],
+                               rtol=0, atol=1e-13)
+    # the sum stops at the first K whose tail 2 sum_{k >= K} |J_k| < 2^-53
+    tail = 2.0 * np.cumsum(np.abs(ref[::-1]))[::-1]
+    assert tail[len(coef)] < 2.0 ** -53 <= tail[len(coef) - 1]
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0, 12.0])
+def test_merged_run_at_d25_takes_under_160_products(monkeypatch, lam):
+    # at d = 25 the mixed factor's 1-norm is about 94 at every lam, for which
+    # the Chebyshev sum needs 145 products
+    products = []
+    matmul = sp.dia_matrix.__matmul__
+
+    def spy(mat, vec):
+        products.append(mat.shape)
+        return matmul(mat, vec)
+
+    monkeypatch.setattr(sp.dia_matrix, "__matmul__", spy)
+    network.run_cloner(0.3 - 0.2j, network.network_from_lambda(lam),
+                       backend="fock", truncation=25)
+    assert 0 < len(products) < 160
+    assert set(products) == {(25 ** 3, 25 ** 3)}
+
+
+def test_expm_apply_refuses_non_anti_hermitian_generators():
+    gen = fock.build_generator("A", (5, 5, 5))
+    vec = np.ones(125)
+    upper = sp.dia_matrix((gen.data[:1], gen.offsets[:1]), shape=gen.shape)
+    # gen on 130 levels, the last five idle: DIA data narrower than the matrix
+    narrow = sp.dia_matrix((gen.data, gen.offsets), shape=(130, 130))
+    for mat in (abs(gen), 1j * gen, upper, gen + sp.identity(125),
+                abs(gen).tocsr(), abs(gen.toarray()), abs(narrow),
+                np.array([[0.0, 1.0], [-1.0, 1e-300]])):
+        with pytest.raises(InvalidArgumentError, match="anti-Hermitian"):
+            fock.expm_apply(mat, np.ones(mat.shape[0]))
+    # the same generator in other storage passes and agrees to rounding
+    want = fock.expm_apply(gen, vec)
+    for mat in (gen.tocsr(), gen.toarray(), (1j * gen) * -1j):
+        np.testing.assert_allclose(fock.expm_apply(mat, vec), want,
+                                   rtol=0, atol=1e-13)
+    got = fock.expm_apply(narrow, np.ones(130))
+    np.testing.assert_allclose(got[:125], want, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(got[125:], 1.0)
 
 
 def test_expm_apply_keeps_real_arithmetic_real():

@@ -240,7 +240,7 @@ def test_fock_clone_factors_the_input_phase(alpha, method, lam, d):
 
 def test_symmetric_fock_run_evolves_once(monkeypatch):
     # the twin beam comes in closed form, so only the mixed A/B factor is
-    # exponentiated; a vacuum start would also Taylor-run exp(atanh(1/3) C)
+    # exponentiated; a vacuum start would also run exp(atanh(1/3) C)
     calls = []
     real = fock.expm_apply
 
@@ -290,6 +290,26 @@ def test_run_cloner_refuses_non_finite_amplitude(alpha, backend):
     spec = network.network_from_lambda(3.0)
     with pytest.raises(InvalidArgumentError, match="not finite"):
         network.run_cloner(alpha, spec, backend=backend, truncation=12)
+
+
+def test_run_cloner_refuses_non_finite_states():
+    # a NaN amplitude once passed both leak checks and ended in LinAlgError,
+    # and a NaN mean ran to a clone mean of (nan, nan)
+    spec = network.network_from_lambda(3.0)
+    amps = fock.coherent_fock(0.3, 12).amplitudes.copy()
+    amps[3] = math.nan
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        network.run_cloner(fock.FockVector((12,), amps), spec,
+                           backend="fock", truncation=12)
+    quarter = np.eye(2) / 4.0
+    for mean, cov in (([math.nan, 0.0], quarter),
+                      ([0.0, math.inf], quarter),
+                      ([0.0, 0.0], [[0.25, 0.0], [0.0, math.nan]]),
+                      ([0.0, 0.0], [[math.inf, 0.0], [0.0, 0.25]])):
+        with np.errstate(invalid="ignore"):     # its symmetry test: inf - inf
+            state = gaussian.GaussianState(1, mean, cov)
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            network.run_cloner(state, spec)
 
 
 @pytest.mark.filterwarnings("ignore:guard-band leakage")
