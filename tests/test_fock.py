@@ -129,32 +129,83 @@ def test_expm_apply_against_dense():
     assert got is not block
 
 
-def test_expm_apply_matches_dense_expm_on_network_generators():
-    # every network factor at both ends of the coupling range, on a complex
-    # state, a complex three-column block and the 64 interior columns that
-    # verify's unitarity check evolves
-    d = 8
+def _reference_expm_apply(mat, vec):
+    """exp(mat) vec by the scaled Taylor loop, with an exact norm on every term.
+
+    An algorithm independent of ``fock.expm_apply``'s Chebyshev sum: s steps
+    of exp(mat / s), each a Taylor series of at most m terms that stops
+    once the inf-norms of the last two terms sum to under 2^-53 times that
+    of the partial sum (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)), all in complex arithmetic.
+    """
+    theta = {20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2,
+             50: 8.5, 55: 9.9}
+    mat = mat.astype(np.complex128)
+    v = np.array(vec, dtype=np.complex128)
+    norm = float(np.abs(mat).sum(axis=0).max())
+    m, s = min(((m, math.ceil(norm / t)) for m, t in theta.items()),
+               key=lambda ms: ms[0] * ms[1])
+
+    def inf_norm(block):
+        return float(np.abs(block).reshape(block.shape[0], -1)
+                     .sum(axis=1).max())
+
+    for _ in range(s):
+        term = v
+        c1 = inf_norm(term)
+        for j in range(1, m + 1):
+            term = mat @ term
+            term *= 1.0 / (s * j)
+            v += term
+            c2 = inf_norm(term)
+            if c1 + c2 <= 2.0 ** -53 * inf_norm(v):
+                break
+            c1 = c2
+    return v
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_expm_apply_stops_where_every_norm_is_exact(d):
+    # the network generators at both ends of the coupling range, on a
+    # complex state and on a complex three-column block: the Chebyshev sum,
+    # cut where its Bessel tail is below 2^-53, agrees with the Taylor loop
+    # that checks an exact norm on every term
     rng = np.random.default_rng(d)
     gens = fock._generators((d,) * 3)
     state = fock.tensor(fock.coherent_fock(0.4 - 0.2j, d),
                         fock.vacuum_fock((d, d))).amplitudes
     block = rng.normal(size=(d ** 3, 3)) + 1j * rng.normal(size=(d ** 3, 3))
     block /= np.linalg.norm(block, axis=0)
-    keep = np.arange(d) < d - 4
-    mask = (keep[:, None, None] & keep[None, :, None]
-            & keep[None, None, :]).ravel()
-    interior = np.eye(d ** 3, dtype=np.complex128)[:, mask]
-    assert interior.shape[1] == 64
     for lam in (0.8, 4.0, 12.0):
         s1, s2, s3 = (st.strength
                       for st in network.network_from_lambda(lam).stages)
         for mat in (gens["C"] * s1, gens["A"] * s2, gens["C"] * s3,
                     gens["A"] * (s2 * math.cosh(s3))
                     + gens["B"] * (s2 * math.sinh(s3))):
-            dense = scipy_expm(mat.toarray())
-            for vec in (state, block, interior):
+            for vec in (state, block):
                 np.testing.assert_allclose(fock.expm_apply(mat, vec),
-                                           dense @ vec, rtol=0, atol=1e-12)
+                                           _reference_expm_apply(mat, vec),
+                                           rtol=0, atol=1e-12)
+
+
+def test_expm_apply_on_the_unitarity_block_is_exact_reference():
+    # the 64 interior columns that verify's unitarity check evolves, through
+    # every stage in turn, against the Taylor reference and dense expm
+    d = 8
+    gens = fock._generators((d,) * 3)
+    keep = np.arange(d) < d - 4
+    mask = (keep[:, None, None] & keep[None, :, None]
+            & keep[None, None, :]).ravel()
+    got = want = np.eye(d ** 3, dtype=np.complex128)[:, mask]
+    assert got.shape[1] == 64
+    for lam in (0.8, 12.0):
+        for st in network.network_from_lambda(lam).stages:
+            mat = gens[st.kind] * st.strength
+            dense = scipy_expm(mat.toarray()) @ want
+            got = fock.expm_apply(mat, got)
+            want = _reference_expm_apply(mat, want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("rho", [0.5, 42.0, 94.0, 456.0])
