@@ -10,7 +10,6 @@ the builtin max(worst, nan) would return worst.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -40,15 +39,19 @@ class CheckResult:
         return self.status == "fail"
 
 
+def _interior_mask(d: int) -> np.ndarray:
+    """Flat mask of the (d, d, d) levels below the guard band in every mode."""
+    keep = np.arange(d) < d - GUARD_BAND
+    return (keep[:, None, None] & keep[None, :, None]
+            & keep[None, None, :]).ravel()
+
+
 # -------------------------------------------------------------- commutators
 
 def _check_commutators(truncation: int):
-    dims = (truncation,) * 3
-    gens = fock._generators(dims)
-    a, b, c = gens["A"], gens["B"], gens["C"]
-    keep = np.arange(truncation) < truncation - GUARD_BAND
-    mask = (keep[:, None, None] & keep[None, :, None]
-            & keep[None, None, :]).ravel()
+    a, b, c = (fock.build_generator(kind, (truncation,) * 3)
+               for kind in "ABC")
+    mask = _interior_mask(truncation)
     worst = 0.0
     for left, right, expect in ((c, a, b), (c, b, a), (b, a, c)):
         resid = ((left @ right - right @ left - expect).tocsc()[:, mask])
@@ -183,17 +186,13 @@ def _check_bch(truncation: int):
 
 def _check_unitarity(truncation: int):
     d = min(truncation, 8)
-    dims = (d,) * 3
-    gens = fock._generators(dims)
     spec = network.network_from_lambda(0.8)
-    keep = np.arange(d) < d - GUARD_BAND
-    mask = (keep[:, None, None] & keep[None, :, None]
-            & keep[None, None, :]).ravel()
     # the generators are real, so U is real and entry (i, j) of U^dag U is
     # U[:, i]^T U[:, j]: the interior block needs only the interior columns
-    u = np.eye(d ** 3)[:, mask]
+    u = np.eye(d ** 3)[:, _interior_mask(d)]
     for stage in spec.stages:
-        u = fock.expm_apply(gens[stage.kind] * stage.strength, u)
+        gen = fock.build_generator(stage.kind, (d,) * 3)
+        u = fock.expm_apply(gen * stage.strength, u)
     resid = u.T @ u - np.eye(u.shape[1])
     worst = float(np.abs(resid).max())
     status = "pass" if worst < 1e-8 else "fail"
@@ -238,20 +237,21 @@ def _random_circuit(rng):
     return gates, alphas
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_generator(kind: str, dims: tuple, i: int, j: int):
-    # only six (kind, pair) generators exist per truncation; callers scale
-    # the shared matrix and never write to it
-    return fock.pair_generator(kind, dims, i, j)
-
-
 def _fock_moments(amps: np.ndarray, dims: tuple):
-    # each lowering operator a is real, so a^dag psi = a^T psi, and the
-    # quadratures (a + a^dag) / 2 and (a - a^dag) / 2i act on psi as
-    # (u + v) / 2 and -i (u - v) / 2 with u = a psi and v = a^T psi
+    # the quadratures (a + a^dag) / 2 and (a - a^dag) / 2i of mode m act on
+    # psi as (u + v) / 2 and -i (u - v) / 2 with u = a psi and v = a^dag psi.
+    # On the amplitudes reshaped to dims, a moves level n + 1 of mode m down
+    # to n with weight sqrt(n + 1), and a^dag moves level n - 1 up to n with
+    # weight sqrt(n)
+    t = amps.reshape(dims)
     vecs = []
-    for op in fock._mode_annihilations(dims):
-        u, v = op @ amps, op.T @ amps
+    for m, d in enumerate(dims):
+        root = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (t.ndim - 1))
+        levels = np.moveaxis(t, m, 0)
+        u, v = np.zeros_like(t), np.zeros_like(t)
+        np.moveaxis(u, m, 0)[:-1] = root * levels[1:]
+        np.moveaxis(v, m, 0)[1:] = root * levels[:-1]
+        u, v = u.ravel(), v.ravel()
         vecs.append((u + v) * 0.5)
         vecs.append((u - v) * (-0.5j))
     mean = np.array([float(np.real(np.vdot(amps, v))) for v in vecs])
@@ -275,10 +275,10 @@ def _check_backend_equivalence(truncation: int, seed: int):
         total = gaussian.SymplecticTransform(np.eye(6))
         for kind, i, j, s in gates:
             if kind == "tms":
-                gen = _pair_generator("squeezer", dims, i, j)
+                gen = fock.pair_generator("squeezer", dims, i, j)
                 total = gaussian.two_mode_squeezer(3, i, j, s).compose(total)
             else:
-                gen = _pair_generator("splitter", dims, i, j)
+                gen = fock.pair_generator("splitter", dims, i, j)
                 total = gaussian.beam_splitter(3, i, j, s).compose(total)
             amps = fock.expm_apply(s * gen, amps)
         mean_in = np.empty(6)

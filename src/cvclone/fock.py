@@ -1,11 +1,12 @@
 """Brute-force truncated Fock-space backend.
 
-Operators are plain arrays: dense numpy for single modes, scipy-sparse on the
-tensor space. Every two-mode gate generator, the pair squeezer or the
-splitter on one pair of modes, comes from ``pair_generator`` as a real
-(float64) DIA matrix of two diagonals, built from the mode-major index. Around
-them sit a dense scaling-and-squaring matrix exponential for single modes,
-network evolution by the action of the gate exponentials on the state
+Single-mode operators are dense numpy arrays. On the tensor space the only
+operators are the two-mode gate generators, the pair squeezer or the splitter
+on one pair of modes: ``pair_generator`` builds each as a real (float64) DIA
+matrix of two diagonals from the mode-major index and caches it, and
+``build_generator`` names the three network gates among them. Around them sit
+a dense scaling-and-squaring matrix exponential for single modes, network
+evolution by the action of the gate exponentials on the state
 (``expm_apply``), reduced density matrices, and the displaced-mixture
 integral. This module is the ground truth the symplectic backend is checked
 against.
@@ -61,11 +62,9 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _mode_dims(self.dims)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         size = int(np.prod(dims))
-        if any(d < 2 for d in dims):
-            raise InvalidArgumentError("every mode needs dimension >= 2")
         if amps.shape != (size,):
             raise InvalidArgumentError("amplitude length != product of dims")
         object.__setattr__(self, "dims", dims)
@@ -92,10 +91,31 @@ class FockVector:
         return float(t.sum() - keep.sum())
 
 
+def _mode_dims(dims) -> tuple:
+    dims = tuple(int(d) for d in dims)
+    if any(d < 2 for d in dims):
+        raise InvalidArgumentError("every mode needs dimension >= 2")
+    return dims
+
+
+def _guard_band(value: float, msg: str, stacklevel: int) -> None:
+    """The truncation policy for a dropped or leaked probability ``value``.
+
+    Above _LEAK_FAIL, or NaN, it raises TruncationOverflowError; above
+    _LEAK_WARN it warns with a TruncationWarning. ``stacklevel`` counts
+    from the caller of this function, as in ``warnings.warn``.
+    """
+    if not value <= _LEAK_FAIL:                         # NaN fails as well
+        raise TruncationOverflowError(msg + "; raise truncation")
+    if value > _LEAK_WARN:
+        warnings.warn(msg, TruncationWarning, stacklevel=stacklevel + 1)
+
+
 def vacuum_fock(dims) -> FockVector:
-    amps = np.zeros(int(np.prod(dims)), np.complex128)
+    dims = _mode_dims(dims)
+    amps = np.zeros(math.prod(dims), np.complex128)
     amps[0] = 1.0
-    return FockVector(tuple(dims), amps)
+    return FockVector(dims, amps)
 
 
 def coherent_fock(alpha: complex, dim: int) -> FockVector:
@@ -105,18 +125,16 @@ def coherent_fock(alpha: complex, dim: int) -> FockVector:
     over n < dim, meets the guard-band policy: a TruncationWarning above 1e-3,
     a TruncationOverflowError above 1e-2.
     """
+    (dim,) = _mode_dims((dim,))
     amps = np.empty(dim, np.complex128)
     amps[0] = 1.0
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     vec = FockVector((dim,), amps)
     dropped = 1.0 - math.exp(-abs(alpha) * abs(alpha)) * vec.norm() ** 2
-    msg = (f"coherent input {alpha} drops {dropped:.2e} of its norm at "
-           f"dim {dim}")
-    if not dropped <= _LEAK_FAIL:                      # NaN once amps overflow
-        raise TruncationOverflowError(msg + "; raise truncation")
-    if dropped > _LEAK_WARN:
-        warnings.warn(msg, TruncationWarning, stacklevel=2)
+    # dropped is NaN once amps overflow
+    _guard_band(dropped, f"coherent input {alpha} drops {dropped:.2e} of its "
+                f"norm at dim {dim}", stacklevel=2)
     return vec.normalized()
 
 
@@ -139,23 +157,6 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-@functools.lru_cache(maxsize=16)
-def _mode_annihilations(dims: tuple):
-    """Sparse lowering operator for each mode of the full tensor space."""
-    # imported here so that commands without a tensor space never load scipy
-    import scipy.sparse as sp
-
-    ops = []
-    for m, d in enumerate(dims):
-        mat = sp.csr_matrix(annihilation_matrix(d))
-        full = sp.identity(1, format="csr")
-        for k, dk in enumerate(dims):
-            factor = mat if k == m else sp.identity(dk, format="csr")
-            full = sp.kron(full, factor, format="csr")
-        ops.append(full)
-    return tuple(ops)
-
-
 def pair_generator(kind: str, dims, i: int, j: int):
     """Two-mode generator on modes (i, j) of ``dims``, a DIA sparse matrix.
 
@@ -165,11 +166,20 @@ def pair_generator(kind: str, dims, i: int, j: int):
     term T on one diagonal, ij or i^dag j, whose weight in column ``flat``
     is read off the occupations of the mode-major index. The diagonal data
     span the full width, one entry per column.
+
+    The matrix is cached per (kind, dims, i, j) and shared by every caller,
+    so callers scale it and never write to it.
     """
+    return _pair_generator(kind, tuple(int(d) for d in dims), i, j)
+
+
+# verify holds at most 21 generators at once: A, B and C at three
+# truncations and all twelve ordered pairs at d = 25
+@functools.lru_cache(maxsize=32)
+def _pair_generator(kind: str, dims: tuple, i: int, j: int):
     # imported here so that commands without a tensor space never load scipy
     import scipy.sparse as sp
 
-    dims = tuple(int(d) for d in dims)
     for m in (i, j):
         if not 0 <= m < len(dims):
             raise InvalidArgumentError(f"mode {m} out of range")
@@ -195,30 +205,26 @@ def pair_generator(kind: str, dims, i: int, j: int):
         mirror[:size - offset] = -weight[offset:]
     else:
         mirror[-offset:] = -weight[:size + offset]
-    return sp.dia_matrix((np.stack((weight, mirror)), [offset, -offset]),
-                         shape=(size, size))
+    data = np.stack((weight, mirror))
+    data.flags.writeable = False            # the cache shares it
+    return sp.dia_matrix((data, [offset, -offset]), shape=(size, size))
 
 
-@functools.lru_cache(maxsize=16)
-def _generators(dims: tuple):
-    """The three network generators as DIA matrices on (c, a, b).
-
-    A squeezes the pair (b, c) and C the pair (a, b); B is the splitter
-    coupling of (a, c).
-    """
-    return {"A": pair_generator("squeezer", dims, 2, 0),
-            "B": pair_generator("splitter", dims, 1, 0),
-            "C": pair_generator("squeezer", dims, 1, 2)}
+# A squeezes the pair (b, c) and C the pair (a, b); B is the splitter
+# coupling of (a, c)
+_NETWORK_PAIRS = {"A": ("squeezer", 2, 0), "B": ("splitter", 1, 0),
+                  "C": ("squeezer", 1, 2)}
 
 
 def build_generator(kind: str, dims):
-    """One of the three network generators, a DIA matrix on (c, a, b)."""
-    dims = tuple(int(d) for d in dims)
+    """One of the three network generators on (c, a, b): the cached DIA
+    matrix of ``pair_generator`` for its pair."""
     if len(dims) != 3:
         raise InvalidArgumentError("generators live on three modes")
-    if kind not in ("A", "B", "C"):
+    if kind not in _NETWORK_PAIRS:
         raise InvalidArgumentError(f"unknown generator kind {kind!r}")
-    return _generators(dims)[kind]
+    pair, i, j = _NETWORK_PAIRS[kind]
+    return pair_generator(pair, dims, i, j)
 
 
 # ------------------------------------------------------- matrix exponentials
@@ -310,18 +316,13 @@ def _full_width(dia) -> np.ndarray:
 
 
 def _is_anti_hermitian(mat) -> bool:
-    """Whether mat == -mat^H exactly, in O(nnz) for sparse input.
+    """Whether the DIA matrix mat == -mat^H exactly, diagonal by diagonal.
 
-    A DIA matrix is compared diagonal by diagonal: column c of offset k
-    holds mat[c - k, c], which must be minus the conjugate of column c - k
-    of offset -k.
+    Column c of offset k holds mat[c - k, c], which must be minus the
+    conjugate of column c - k of offset -k.
     """
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.shape[0] != mat.shape[1]:
         return False
-    if isinstance(mat, np.ndarray):
-        return np.array_equal(mat, -mat.conj().T)
-    if mat.format != "dia":
-        return not (mat + mat.conj().T).tocsr().data.any()
     n = mat.shape[0]
     rows = dict(zip(mat.offsets.tolist(), _full_width(mat)))
     zero = np.zeros(n, mat.dtype)
@@ -334,13 +335,15 @@ def _is_anti_hermitian(mat) -> bool:
 
 
 def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
-    """exp(mat) @ vec for an anti-Hermitian mat, sparse or dense.
+    """exp(mat) @ vec for an anti-Hermitian mat.
 
+    ``mat`` is worked on as a DIA matrix, the form of every generator from
+    ``pair_generator``; dense and other sparse input is converted once.
     ``vec`` is one vector (n,) or a block of columns (n, k); the result has
     the promoted dtype of ``mat`` and ``vec`` (at least float64), so a real
     generator on a real vector runs in real arithmetic. A matrix that is not
-    exactly anti-Hermitian raises InvalidArgumentError: the expansion below
-    holds only on the imaginary axis.
+    square and exactly anti-Hermitian raises InvalidArgumentError: the
+    expansion below holds only on the imaginary axis.
 
     The method is the Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem.
     Phys. 81 (1984) 3967. For anti-Hermitian G the 1-norm equals the
@@ -353,6 +356,9 @@ def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
     the sum where 2 sum_{k >= K} |J_k(rho)| < 2^-53 bounds the error by
     2^-53 ||v||_2. The cut is fixed before the loop, from rho alone.
     """
+    import scipy.sparse as sp
+
+    mat = sp.dia_matrix(mat)
     v = np.asarray(vec)
     dtype = np.result_type(v.dtype, mat.dtype, np.float64)
     if not _is_anti_hermitian(mat):
@@ -361,10 +367,7 @@ def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
     if mat.dtype != dtype:
         mat = mat.astype(dtype)
     u_prev = np.array(v, dtype=dtype)
-    if getattr(mat, "format", None) == "dia":
-        rho = float(np.abs(_full_width(mat)).sum(axis=0).max())
-    else:
-        rho = float(abs(mat).sum(axis=0).max())
+    rho = float(np.abs(_full_width(mat)).sum(axis=0).max())
     if rho == 0.0:
         return u_prev
     coef = _chebyshev_coefficients(rho)
@@ -386,12 +389,8 @@ def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
 
 def _leak_check(vec: FockVector, where: str) -> FockVector:
     leak = vec.leakage()
-    if not leak <= _LEAK_FAIL:                          # NaN fails as well
-        raise TruncationOverflowError(
-            f"guard-band leakage {leak:.2e} after {where}; raise truncation")
-    if leak > _LEAK_WARN:
-        warnings.warn(f"guard-band leakage {leak:.2e} after {where}",
-                      TruncationWarning, stacklevel=3)
+    _guard_band(leak, f"guard-band leakage {leak:.2e} after {where}",
+                stacklevel=3)
     if abs(vec.norm() - 1.0) > 1e-6:
         warnings.warn(f"norm drift {vec.norm() - 1.0:.2e} after {where}",
                       TruncationWarning, stacklevel=3)
@@ -415,14 +414,14 @@ def apply_network_fock(spec, state: FockVector,
     if state.n_modes != 3:
         raise InvalidArgumentError("network input must have three modes")
     stages = spec.stages
-    gens = _generators(state.dims)
+    dims = state.dims
     v = state.amplitudes
     if not v.imag.any():
         v = v.real
     if method == "literal":
         for st in stages:
-            v = expm_apply(gens[st.kind] * st.strength, v)
-            out = _leak_check(FockVector(state.dims, v),
+            v = expm_apply(build_generator(st.kind, dims) * st.strength, v)
+            out = _leak_check(FockVector(dims, v),
                               f"stage {st.kind}({st.strength:+.3f})")
         return out
     if method != "merged":
@@ -433,19 +432,19 @@ def apply_network_fock(spec, state: FockVector,
     s1, s2, s3 = (st.strength for st in stages)
     prep = s1 + s3
     if abs(prep) > 0:
-        v = expm_apply(gens["C"] * prep, v)
-        _leak_check(FockVector(state.dims, v), "preparation")
+        v = expm_apply(build_generator("C", dims) * prep, v)
+        _leak_check(FockVector(dims, v), "preparation")
     import scipy.sparse as sp
 
     # A and B lie on distinct diagonals, so the mixed factor stacks their
     # scaled full-width data
-    a, b = gens["A"], gens["B"]
+    a, b = build_generator("A", dims), build_generator("B", dims)
     mixed = sp.dia_matrix(
         (np.concatenate((a.data * (s2 * math.cosh(s3)),
                          b.data * (s2 * math.sinh(s3)))),
          np.concatenate((a.offsets, b.offsets))), shape=a.shape)
     v = expm_apply(mixed, v)
-    return _leak_check(FockVector(state.dims, v), "merged network")
+    return _leak_check(FockVector(dims, v), "merged network")
 
 
 # ---------------------------------------------------------- density matrices

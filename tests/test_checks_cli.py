@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import cvclone
 from cvclone import checks, cli, fock, network
@@ -618,10 +619,23 @@ def test_random_circuits_keep_the_squeeze_cap():
             assert total <= checks._SQUEEZE_CAP * (1.0 + 1e-12)
 
 
+def _sparse_annihilations(dims):
+    """CSR lowering operator of each mode, by a Kronecker product chain."""
+    ops = []
+    for m, d in enumerate(dims):
+        full = sp.identity(1, format="csr")
+        for k, dk in enumerate(dims):
+            factor = (sp.csr_matrix(fock.annihilation_matrix(d)) if k == m
+                      else sp.identity(dk, format="csr"))
+            full = sp.kron(full, factor, format="csr")
+        ops.append(full)
+    return ops
+
+
 def _quadrature_operator_moments(amps, dims):
     # the moments as formed from six complex quadrature matrices
     quads = []
-    for op in fock._mode_annihilations(dims):
+    for op in _sparse_annihilations(dims):
         quads.append((op + op.conj().T) * 0.5)
         quads.append((op - op.conj().T) * (-0.5j))
     vecs = [q @ amps for q in quads]

@@ -1,5 +1,7 @@
 """Truncated Fock backend: states, operators, evolution, mixtures."""
 
+import inspect
+import linecache
 import math
 import warnings
 
@@ -36,6 +38,45 @@ def test_coherent_truncation_policy():
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         fock.coherent_fock(1.0, 8)                  # drops 1.0e-05
+
+
+def test_guard_band_warnings_name_the_calling_line():
+    # the coherent input's dropped norm and the network's guard-band leakage
+    # share one policy; each warning still points at the line that called
+    # into the module, and each refusal keeps its message
+    with pytest.warns(TruncationWarning, match="drops 8.13e-03") as rec:
+        fock.coherent_fock(2.0, 10)
+    (warned,) = rec
+    assert warned.filename == __file__
+    assert (linecache.getline(__file__, warned.lineno).strip()
+            == "fock.coherent_fock(2.0, 10)")
+    spec = network.network_from_lambda(3.0)
+    with pytest.warns(TruncationWarning,
+                      match="^guard-band leakage 2.28e-03 after merged "
+                            "network$") as rec:
+        network.run_cloner(0.5, spec, backend="fock", truncation=12)
+    # run_cloner's call of apply_network_fock spans two lines
+    lines, start = inspect.getsourcelines(network.run_cloner)
+    call = start + next(k for k, line in enumerate(lines)
+                        if "fock.apply_network_fock(" in line)
+    (warned,) = rec
+    assert warned.filename == network.__file__
+    assert warned.lineno in (call, call + 1)
+    with pytest.raises(TruncationOverflowError,
+                       match="^guard-band leakage 1.14e-02 after merged "
+                             "network; raise truncation$"):
+        network.run_cloner(2.2, spec, backend="fock", truncation=20)
+
+
+@pytest.mark.parametrize("dim", [-1, 0, 1])
+def test_modes_below_two_levels_are_refused(dim):
+    # dim 0 once reached the write of amplitude 0 and raised IndexError
+    with pytest.raises(InvalidArgumentError, match="dimension >= 2"):
+        fock.coherent_fock(0.3, dim)
+    with pytest.raises(InvalidArgumentError, match="dimension >= 2"):
+        fock.vacuum_fock((4, dim))
+    with pytest.raises(InvalidArgumentError, match="dimension >= 2"):
+        fock.vacuum_fock((dim,))
 
 
 def test_tensor_layout_is_mode_major():
@@ -101,7 +142,7 @@ def test_expm_apply_against_dense():
     # the network's sparse generators at d = 8: single stages, the merged
     # A/B mix, and at lam = 12 1-norms near 156, which take 216 products
     dims = (8, 8, 8)
-    gens = fock._generators(dims)
+    gens = {k: fock.build_generator(k, dims) for k in "ABC"}
     state = fock.tensor(fock.coherent_fock(0.4 - 0.2j, 8),
                         fock.vacuum_fock((8, 8))).amplitudes
     block = rng.normal(size=(8 ** 3, 3)) + 1j * rng.normal(size=(8 ** 3, 3))
@@ -171,7 +212,7 @@ def test_expm_apply_stops_where_every_norm_is_exact(d):
     # cut where its Bessel tail is below 2^-53, agrees with the Taylor loop
     # that checks an exact norm on every term
     rng = np.random.default_rng(d)
-    gens = fock._generators((d,) * 3)
+    gens = {k: fock.build_generator(k, (d,) * 3) for k in "ABC"}
     state = fock.tensor(fock.coherent_fock(0.4 - 0.2j, d),
                         fock.vacuum_fock((d, d))).amplitudes
     block = rng.normal(size=(d ** 3, 3)) + 1j * rng.normal(size=(d ** 3, 3))
@@ -192,7 +233,7 @@ def test_expm_apply_on_the_unitarity_block_is_exact_reference():
     # the 64 interior columns that verify's unitarity check evolves, through
     # every stage in turn, against the Taylor reference and dense expm
     d = 8
-    gens = fock._generators((d,) * 3)
+    gens = {k: fock.build_generator(k, (d,) * 3) for k in "ABC"}
     keep = np.arange(d) < d - 4
     mask = (keep[:, None, None] & keep[None, :, None]
             & keep[None, None, :]).ravel()
@@ -263,7 +304,7 @@ def test_expm_apply_refuses_non_anti_hermitian_generators():
 
 
 def test_expm_apply_keeps_real_arithmetic_real():
-    gens = fock._generators((6, 6, 6))
+    gens = {k: fock.build_generator(k, (6, 6, 6)) for k in "ABC"}
     assert gens["A"].dtype == np.float64
     mat = 0.7 * gens["A"] + 0.3 * gens["B"]
     rng = np.random.default_rng(11)
@@ -310,6 +351,17 @@ def test_network_generators_are_pair_generators():
         got = fock.build_generator(kind, dims).toarray()
         np.testing.assert_array_equal(
             got, fock.pair_generator(pair, dims, i, j).toarray())
+
+
+def test_pair_generator_is_cached_once_per_pair():
+    dims = (5, 6, 7)
+    for kind, pair, i, j in (("A", "squeezer", 2, 0), ("B", "splitter", 1, 0),
+                             ("C", "squeezer", 1, 2)):
+        gen = fock.pair_generator(pair, dims, i, j)
+        assert not gen.data.flags.writeable
+        assert fock.pair_generator(pair, list(dims), i, j) is gen
+        assert fock.build_generator(kind, dims) is gen
+        assert fock.build_generator(kind, list(dims)) is gen
 
 
 def test_pair_generator_validation():

@@ -283,6 +283,14 @@ def test_symmetric_fock_run_matches_vacuum_start(alpha, d):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("truncation", [0, 1])
+def test_fock_run_refuses_truncation_below_two(truncation):
+    # truncation 0 once ended in a bare IndexError
+    with pytest.raises(InvalidArgumentError, match="dimension >= 2"):
+        network.run_cloner(0.3, network.network_from_lambda(3.0),
+                           backend="fock", truncation=truncation)
+
+
 @pytest.mark.parametrize("backend", ["gaussian", "fock"])
 @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0),
                                    complex(0.0, math.inf), -math.inf])
