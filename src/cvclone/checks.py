@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, fock, gaussian, measurement, network
-from .errors import InvalidArgumentError
 from .fock import TWIN_BEAM_SQUEEZE
 
 # Photon levels next to the truncation edge excluded from operator assertions.
@@ -370,9 +369,7 @@ def _check_gains():
 
 def run_all(truncation: int = 25, seed: int = 1234) -> list:
     """Run every check; returns CheckResult entries in a fixed order."""
-    lo, hi = network.TRUNCATION_RANGE
-    if not lo <= truncation <= hi:
-        raise InvalidArgumentError(f"truncation must lie in [{lo}, {hi}]")
+    network.check_truncation(truncation)
     plan = [
         ("commutator-algebra", _check_commutators, (truncation,), None),
         ("bch-identity", _check_bch, (truncation,),

@@ -7,6 +7,10 @@ configuration (including a truncation too small for the requested run or its
 coherent input, whose message says what to raise), 3 I/O problem, 4 internal
 error (an unexpected exception, reported on one stderr line instead of a
 traceback).
+
+Each option is declared once, in ``_OPTIONS``. Settings are its defaults
+(truncation 25 for ``verify``), then a ``--config`` file of ``key = value``
+lines, then the flags; ``network`` checks the lambda, sigma and truncation.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,53 +38,6 @@ _CSV_HEADER = "lambda,G1,G2,G3,var_x,var_y,product,fidelity_c,fidelity_a"
 
 def _fmt(value: float) -> str:
     return f"{value:.11e}"
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of everything a subcommand needs."""
-
-    command: str
-    lambda_min: float = None
-    lambda_max: float = None
-    steps: int = 1
-    lam: float = None
-    alpha: complex = None
-    sigma: float = 1.0
-    backend: str = "gaussian"
-    truncation: int = 16
-    seed: int = 1234
-    out: str = None
-    phi: float = None
-    theta: float = None
-    grid_n: int = None
-    grid_xmax: float = None
-
-    def validate(self):
-        for name, lo in (("lambda_min", self.lambda_min),
-                         ("lambda_max", self.lambda_max), ("lambda", self.lam)):
-            if lo is not None and not 0.0 < lo <= network.LAMBDA_CAP:
-                raise InvalidArgumentError(
-                    f"{name} must lie in (0, {network.LAMBDA_CAP:g}]")
-        if (self.lambda_min is not None and self.lambda_max is not None
-                and self.lambda_min > self.lambda_max):
-            raise InvalidArgumentError("lambda-min exceeds lambda-max")
-        if self.steps < 1:
-            raise InvalidArgumentError("steps must be at least 1")
-        lo, hi = network.TRUNCATION_RANGE
-        if not lo <= self.truncation <= hi:
-            raise InvalidArgumentError(f"truncation must lie in [{lo}, {hi}]")
-        lo, hi = network.SIGMA_RANGE
-        if not lo <= self.sigma <= hi:
-            raise InvalidArgumentError(f"sigma must lie in [{lo:g}, {hi:g}]")
-        if self.backend not in ("gaussian", "fock"):
-            raise InvalidArgumentError("backend must be gaussian or fock")
-        if self.grid_n is not None and self.grid_n < 2:
-            raise InvalidArgumentError("grid size must be at least 2")
-        if self.grid_xmax is not None and not 0 < self.grid_xmax < math.inf:
-            raise InvalidArgumentError(
-                "grid extent must be positive and finite")
-        return self
 
 
 # ------------------------------------------------------------ config plumbing
@@ -126,20 +82,31 @@ def _argument_type(parse):
 _ALPHA_ARG = _argument_type(_parse_complex)
 _GRID_ARG = _argument_type(_parse_grid)
 
-_CONFIG_PARSERS = {
-    "lambda": ("lam", float),
-    "lambda_min": ("lambda_min", float),
-    "lambda_max": ("lambda_max", float),
-    "steps": ("steps", int),
-    "alpha": ("alpha", _parse_complex),
-    "sigma": ("sigma", float),
-    "backend": ("backend", str),
-    "truncation": ("truncation", int),
-    "seed": ("seed", int),
-    "out": ("out", str),
-    "phi": ("phi", float),
-    "theta": ("theta", float),
-    "grid": ("grid", _parse_grid),
+# config key: (attribute, parser, default); a flag sets the same attribute
+_OPTIONS = {
+    "lambda": ("lam", float, None),
+    "lambda_min": ("lambda_min", float, None),
+    "lambda_max": ("lambda_max", float, None),
+    "steps": ("steps", int, 1),
+    "alpha": ("alpha", _parse_complex, None),
+    "sigma": ("sigma", float, 1.0),
+    "backend": ("backend", str, "gaussian"),
+    "truncation": ("truncation", int, 16),
+    "seed": ("seed", int, 1234),
+    "out": ("out", str, None),
+    "phi": ("phi", float, None),
+    "theta": ("theta", float, None),
+    "grid": ("grid", _parse_grid, None),
+}
+
+_REQUIRED = {
+    "sweep": ((("lambda_min", "lambda_max"),
+               "sweep needs --lambda-min and --lambda-max"),
+              (("alpha",), "sweep needs --alpha RE,IM"),
+              (("out",), "sweep needs --out PATH")),
+    "clone": ((("lam", "alpha"), "clone needs --lambda and --alpha"),),
+    "povm": ((("lam", "phi", "theta"), "povm needs --lambda, --phi and --theta"),
+             (("grid",), "povm needs --grid N,XMAX")),
 }
 
 
@@ -155,9 +122,9 @@ def _load_config_file(path: str) -> dict:
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_PARSERS:
+            if key not in _OPTIONS:
                 raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
-            field, parse = _CONFIG_PARSERS[key]
+            field, parse, _ = _OPTIONS[key]
             try:
                 values[field] = parse(val.strip())
             except (ValueError, InvalidArgumentError) as exc:
@@ -165,43 +132,42 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file, then explicit flags."""
-    from_file = {}
-    if getattr(args, "config", None):
-        from_file = _load_config_file(args.config)
-    cfg = RunConfig(command=args.command)
-    if "grid" in from_file:
-        cfg.grid_n, cfg.grid_xmax = from_file.pop("grid")
-    for key, value in from_file.items():
-        setattr(cfg, key, value)
-    for key in ("lambda_min", "lambda_max", "steps", "lam", "alpha", "sigma",
-                "backend", "truncation", "seed", "out", "phi", "theta"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    grid_flag = getattr(args, "grid", None)
-    if grid_flag is not None:
-        cfg.grid_n, cfg.grid_xmax = grid_flag
-    if (cfg.command == "verify" and getattr(args, "truncation", None) is None
-            and "truncation" not in from_file):
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Defaults, then config file, then explicit flags; then the checks."""
+    cfg = argparse.Namespace(command=args.command, **{
+        field: default for field, _, default in _OPTIONS.values()})
+    if cfg.command == "verify":
         cfg.truncation = 25
-    if cfg.command == "sweep":
-        if cfg.lambda_min is None or cfg.lambda_max is None:
-            raise InvalidArgumentError("sweep needs --lambda-min and --lambda-max")
-        if cfg.alpha is None:
-            raise InvalidArgumentError("sweep needs --alpha RE,IM")
-        if cfg.out is None:
-            raise InvalidArgumentError("sweep needs --out PATH")
-    elif cfg.command == "clone":
-        if cfg.lam is None or cfg.alpha is None:
-            raise InvalidArgumentError("clone needs --lambda and --alpha")
-    elif cfg.command == "povm":
-        if cfg.lam is None or cfg.phi is None or cfg.theta is None:
-            raise InvalidArgumentError("povm needs --lambda, --phi and --theta")
-        if cfg.grid_n is None:
-            raise InvalidArgumentError("povm needs --grid N,XMAX")
-    return cfg.validate()
+    if args.config:
+        vars(cfg).update(_load_config_file(args.config))
+    for field, _, _ in _OPTIONS.values():
+        flag = getattr(args, field, None)
+        if flag is not None:
+            setattr(cfg, field, flag)
+    for fields, message in _REQUIRED.get(cfg.command, ()):
+        if any(getattr(cfg, field) is None for field in fields):
+            raise InvalidArgumentError(message)
+    for name, lam in (("lambda_min", cfg.lambda_min),
+                      ("lambda_max", cfg.lambda_max), ("lambda", cfg.lam)):
+        if lam is not None:
+            network.check_lambda(lam, name)
+    if (cfg.lambda_min is not None and cfg.lambda_max is not None
+            and cfg.lambda_min > cfg.lambda_max):
+        raise InvalidArgumentError("lambda-min exceeds lambda-max")
+    if cfg.steps < 1:
+        raise InvalidArgumentError("steps must be at least 1")
+    network.check_truncation(cfg.truncation)
+    network.check_sigma(cfg.sigma)
+    if cfg.backend not in ("gaussian", "fock"):
+        raise InvalidArgumentError("backend must be gaussian or fock")
+    if cfg.grid is not None:
+        n, xmax = cfg.grid
+        if n < 2:
+            raise InvalidArgumentError("grid size must be at least 2")
+        if not 0 < xmax < math.inf:
+            raise InvalidArgumentError(
+                "grid extent must be positive and finite")
+    return cfg
 
 
 # ------------------------------------------------------------------ commands
@@ -218,7 +184,7 @@ def _sweep_row(lam: float, alpha: complex, sigma: float) -> str:
     return ",".join(_fmt(v) for v in cells)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
     rows = [_sweep_row(float(lam), cfg.alpha, cfg.sigma) for lam in lams]
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -233,7 +199,7 @@ def _fock_coherent_fidelity(state: fock.DensityMatrix, alpha: complex) -> float:
     return float(np.real(probe.conj() @ state.matrix @ probe))
 
 
-def cmd_clone(cfg: RunConfig) -> int:
+def cmd_clone(cfg: argparse.Namespace) -> int:
     spec = network.network_from_lambda(cfg.lam, cfg.sigma)
     g1, g2, g3 = network.gains(spec)
     result = network.run_cloner(cfg.alpha, spec, backend=cfg.backend,
@@ -265,11 +231,12 @@ def cmd_clone(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_povm(cfg: RunConfig) -> int:
+def cmd_povm(cfg: argparse.Namespace) -> int:
     params = measurement.povm_params(cfg.lam, cfg.phi, cfg.theta)
     alpha = cfg.alpha if cfg.alpha is not None else 0j
     probe = fock.coherent_fock(alpha, cfg.truncation)
-    xs = np.linspace(-cfg.grid_xmax, cfg.grid_xmax, cfg.grid_n)
+    n, xmax = cfg.grid
+    xs = np.linspace(-xmax, xmax, n)
     vals = measurement.povm_density_grid(params, xs, xs, probe)
     integral = float(np.trapezoid(np.trapezoid(vals, xs, axis=1), xs))
     out = open(cfg.out, "w", encoding="utf-8", newline="\n") if cfg.out else sys.stdout
@@ -294,7 +261,7 @@ def cmd_povm(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     results = checks.run_all(truncation=cfg.truncation, seed=cfg.seed)
     failed = False
     for res in results:

@@ -34,6 +34,7 @@ two levels of any mode (warn above 1e-3, raise above 1e-2, and raise on NaN).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -48,6 +49,7 @@ from .errors import (GridTooCoarseError, InvalidArgumentError,
 
 _LEAK_WARN = 1e-3
 _LEAK_FAIL = 1e-2
+_GUARD_LEVELS = 2                   # top levels of each mode in the guard band
 
 TWIN_BEAM_SQUEEZE = math.atanh(1.0 / 3.0)
 
@@ -80,13 +82,13 @@ class FockVector:
     def normalized(self) -> "FockVector":
         return FockVector(self.dims, self.amplitudes / self.norm())
 
-    def leakage(self, levels: int = 2) -> float:
-        """Probability mass with any mode in its top ``levels`` states."""
+    def leakage(self) -> float:
+        """Probability mass with any mode in its guard band."""
         t = np.abs(self.amplitudes.reshape(self.dims)) ** 2
         keep = t
         for ax, d in enumerate(self.dims):
             sl = [slice(None)] * len(self.dims)
-            sl[ax] = slice(0, d - levels)
+            sl[ax] = slice(0, d - _GUARD_LEVELS)
             keep = keep[tuple(sl)]
         return float(t.sum() - keep.sum())
 
@@ -118,13 +120,21 @@ def vacuum_fock(dims) -> FockVector:
     return FockVector(dims, amps)
 
 
+def _finite_amplitude(value) -> complex:
+    alpha = complex(value)
+    if not cmath.isfinite(alpha):
+        raise InvalidArgumentError(f"coherent amplitude {alpha} is not finite")
+    return alpha
+
+
 def coherent_fock(alpha: complex, dim: int) -> FockVector:
     """Truncated coherent state, renormalized on the truncated space.
 
     The norm the truncation drops, 1 - e^(-|alpha|^2) sum_n |alpha^n|^2 / n!
     over n < dim, meets the guard-band policy: a TruncationWarning above 1e-3,
-    a TruncationOverflowError above 1e-2.
+    a TruncationOverflowError above 1e-2. A non-finite alpha is refused.
     """
+    _finite_amplitude(alpha)
     (dim,) = _mode_dims((dim,))
     amps = np.empty(dim, np.complex128)
     amps[0] = 1.0
@@ -152,8 +162,7 @@ def tensor(*vecs: FockVector) -> FockVector:
 
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
-    if dim < 2:
-        raise InvalidArgumentError("dim must be at least 2")
+    (dim,) = _mode_dims((dim,))
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
@@ -501,6 +510,18 @@ def reduced_density(state: FockVector, mode: int) -> DensityMatrix:
     return DensityMatrix(rho / nrm)
 
 
+def _density(state) -> np.ndarray:
+    """The matrix of a DensityMatrix or of a single-mode FockVector."""
+    if isinstance(state, DensityMatrix):
+        return state.matrix
+    if isinstance(state, FockVector):
+        if state.n_modes != 1:
+            raise InvalidArgumentError("need a single-mode input")
+        v = state.normalized().amplitudes
+        return np.outer(v, v.conj())
+    raise InvalidArgumentError("input must be a DensityMatrix or FockVector")
+
+
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
     """(1/2) trace norm of the difference, by Hermitian eigendecomposition."""
     m1 = r1.matrix if isinstance(r1, DensityMatrix) else np.asarray(r1)
@@ -518,7 +539,7 @@ def _parse_f_spec(f_spec):
     The displacement weight is |f|^2 with Var(Re z) = wx^2/4 and
     Var(Im z) = wy^2/4.
     """
-    if f_spec == "symmetric" or f_spec == {"symmetric": True}:
+    if f_spec == "symmetric":
         return 1.0, 1.0
     if isinstance(f_spec, dict) and "sigma" in f_spec:
         s = float(f_spec["sigma"])
@@ -544,15 +565,7 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     P, rho*, P rho* P, and the mixture is
     S(rho) + conj S(rho*) + P (S(P rho P) + conj S(P rho* P)) P.
     """
-    if isinstance(phi, FockVector):
-        if phi.n_modes != 1:
-            raise InvalidArgumentError("smeared_mixture needs a single mode")
-        rho = np.outer(phi.amplitudes, phi.amplitudes.conj())
-        rho /= np.trace(rho).real
-    elif isinstance(phi, DensityMatrix):
-        rho = phi.matrix
-    else:
-        raise InvalidArgumentError("phi must be a FockVector or DensityMatrix")
+    rho = _density(phi)
     if grid < 41:
         raise InvalidArgumentError("need at least a 41x41 node grid")
     wx, wy = _parse_f_spec(f_spec)

@@ -83,8 +83,7 @@ class MomentReport:
 
 def povm_params(lam: float, phi: float, theta: float) -> PovmParams:
     """Evaluate every closed-form parameter; fails loudly off-domain."""
-    if lam <= 0:
-        raise InvalidArgumentError("lam must be positive")
+    network.check_lambda(lam)
     if not 0.0 < theta - phi < math.pi:
         raise InvalidArgumentError("need 0 < theta - phi < pi")
     eps = -2.0 * math.exp(-lam)
@@ -138,17 +137,6 @@ def _thermal_weights(params: PovmParams, dim: int) -> np.ndarray:
     return (1.0 - q) * q ** np.arange(nth)
 
 
-def _as_density(input_state) -> np.ndarray:
-    if isinstance(input_state, fock.DensityMatrix):
-        return input_state.matrix
-    if isinstance(input_state, fock.FockVector):
-        if input_state.n_modes != 1:
-            raise InvalidArgumentError("need a single-mode input")
-        v = input_state.normalized().amplitudes
-        return np.outer(v, v.conj())
-    raise InvalidArgumentError("input must be a DensityMatrix or FockVector")
-
-
 def povm_density(params: PovmParams, x: float, x_prime: float,
                  input_state) -> float:
     """Tr[input rho F(x, x_prime)] for one outcome pair."""
@@ -158,7 +146,7 @@ def povm_density(params: PovmParams, x: float, x_prime: float,
 
 def povm_density_grid(params: PovmParams, xs, xps, input_state) -> np.ndarray:
     """Outcome density on the grid xs × xps; shape (len(xs), len(xps))."""
-    rho = _as_density(input_state)
+    rho = fock._density(input_state)
     dim = rho.shape[0]
     weights = _thermal_weights(params, dim)
     s_dag = _squeeze_dag(params.xi, dim)
@@ -180,8 +168,8 @@ def clone_a_coefficient_rows(lam: float):
     cosh(2 e^-lam) - 1 = 2 sinh^2(e^-lam) keeps every term O(1), so the trio
     stays relatively accurate over the whole supported coupling range.
     """
-    if lam <= 0:
-        raise InvalidArgumentError("lam must be positive")
+    if not 0.0 < lam < math.inf:        # no coupling cap here; NaN fails too
+        raise InvalidArgumentError("lam must be positive and finite")
     t0 = TWIN_BEAM_SQUEEZE
     sh_u = math.sinh(math.exp(-lam))
     ch_u = math.cosh(math.exp(-lam))
@@ -199,8 +187,7 @@ def expected_moments(lam: float, input_moments) -> MomentReport:
     the clone-a first moment comes out sign-flipped relative to the gate-sign
     simulation; variances and added noises are convention-independent.
     """
-    if lam <= 0:
-        raise InvalidArgumentError("lam must be positive")
+    network.check_lambda(lam)
     mx, my, x2, y2 = (float(t) for t in input_moments)
     var_x, var_y = x2 - mx * mx, y2 - my * my
     if var_x < -1e-12 or var_y < -1e-12:

@@ -24,7 +24,6 @@ beam and starts every sigma, 1 included, from it with stage 1 at -lam.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -70,16 +69,29 @@ class CloneResult:
     ancilla_b: object
 
 
+def check_lambda(lam: float, name: str = "lam") -> None:
+    """Refuse a coupling outside (0, LAMBDA_CAP], NaN included; ``name``
+    labels the message. This and the two checks below own their domains."""
+    if not 0.0 < lam <= LAMBDA_CAP:
+        raise InvalidArgumentError(f"{name} must lie in (0, {LAMBDA_CAP:g}]")
+
+
 def check_sigma(sigma: float) -> None:
     """Refuse a preparation width outside SIGMA_RANGE."""
-    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
-        raise InvalidArgumentError(
-            f"sigma outside supported range {SIGMA_RANGE}")
+    lo, hi = SIGMA_RANGE
+    if not lo <= sigma <= hi:
+        raise InvalidArgumentError(f"sigma must lie in [{lo:g}, {hi:g}]")
+
+
+def check_truncation(truncation: int) -> None:
+    """Refuse Fock levels per mode outside TRUNCATION_RANGE."""
+    lo, hi = TRUNCATION_RANGE
+    if not lo <= truncation <= hi:
+        raise InvalidArgumentError(f"truncation must lie in [{lo}, {hi}]")
 
 
 def network_from_lambda(lam: float, sigma: float = 1.0) -> CloningNetworkSpec:
-    if not 0.0 < lam <= LAMBDA_CAP:
-        raise InvalidArgumentError(f"lam must lie in (0, {LAMBDA_CAP}]")
+    check_lambda(lam)
     check_sigma(sigma)
     s1 = (TWIN_BEAM_SQUEEZE - lam) if sigma == 1.0 else -lam
     stages = (Stage("C", (1, 2), s1),
@@ -170,13 +182,6 @@ def _charge_phases(unit: complex, dim: int) -> np.ndarray:
     return table[charge]
 
 
-def _finite_amplitude(value) -> complex:
-    alpha = complex(value)
-    if not cmath.isfinite(alpha):
-        raise InvalidArgumentError(f"coherent amplitude {alpha} is not finite")
-    return alpha
-
-
 def run_cloner(input_state: Union[complex, gaussian.GaussianState,
                                   fock.FockVector],
                spec: CloningNetworkSpec, backend: str = "gaussian",
@@ -212,7 +217,7 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
                 raise InvalidArgumentError(
                     "input GaussianState mean or covariance is not finite")
         else:
-            alpha = _finite_amplitude(input_state)
+            alpha = fock._finite_amplitude(input_state)
             mean_c = np.array([alpha.real, alpha.imag])
             cov_c = np.eye(2) / 4.0
         mean = np.zeros(6)
@@ -245,7 +250,7 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
                 "input FockVector amplitudes are not finite")
         vec_c = input_state.normalized()
     else:
-        alpha = _finite_amplitude(input_state)
+        alpha = fock._finite_amplitude(input_state)
         vec_c = fock.coherent_fock(alpha, truncation)
         if spec.prep_absorbed and alpha.imag != 0.0:
             unit = alpha / abs(alpha)

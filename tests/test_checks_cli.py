@@ -372,6 +372,44 @@ def test_non_finite_config_alpha_exits_two(tmp_path, capsys):
     assert "raise truncation" not in err
 
 
+def test_config_grid_key_sets_the_outcome_grid(tmp_path, capsys):
+    cfg = tmp_path / "povm.cfg"
+    cfg.write_text("grid = 5,2.0\n", encoding="utf-8")
+    assert cli.main(_POVM + ["--config", str(cfg)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == 25
+    assert rows[0].startswith("-2.00000000000e+00,-2.00000000000e+00,")
+    # the flag overrides the file
+    assert cli.main(_POVM + ["--config", str(cfg), "--grid", "3,1.0"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == 9
+    assert rows[0].startswith("-1.00000000000e+00,-1.00000000000e+00,")
+
+
+def test_verify_truncation_comes_from_default_file_then_flag(tmp_path,
+                                                             monkeypatch):
+    seen = []
+    monkeypatch.setattr(checks, "run_all",
+                        lambda truncation, seed: seen.append(truncation) or [])
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("truncation = 12\n", encoding="utf-8")
+    assert cli.main(["verify"]) == 0
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    assert cli.main(["verify", "--config", str(cfg), "--truncation", "20"]) == 0
+    assert seen == [25, 12, 20]
+
+
+def test_config_sigma_outside_range_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma = 9\n", encoding="utf-8")
+    assert cli.main(["clone", "--config", str(cfg), "--lambda", "2",
+                     "--alpha", "1,0"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid configuration: sigma must lie in [0.25, 4]\n")
+
+
 def test_exit_code_for_unwritable_output(tmp_path):
     assert cli.main(["sweep", "--lambda-min", "1", "--lambda-max", "2",
                      "--steps", "2", "--alpha", "1,0",

@@ -79,6 +79,35 @@ def test_modes_below_two_levels_are_refused(dim):
         fock.vacuum_fock((dim,))
 
 
+@pytest.mark.parametrize("dim", [-1, 0, 1])
+def test_lowering_operator_shares_the_mode_dimension_rule(dim):
+    with pytest.raises(InvalidArgumentError,
+                       match="^every mode needs dimension >= 2$"):
+        fock.annihilation_matrix(dim)
+
+
+@pytest.mark.parametrize("alpha", [complex("nan"), complex(0.0, math.inf),
+                                   -math.inf, math.nan])
+def test_coherent_fock_refuses_non_finite_amplitude(alpha):
+    # NaN once surfaced as a TruncationOverflowError advising more levels
+    with pytest.raises(InvalidArgumentError, match="is not finite"):
+        fock.coherent_fock(alpha, 16)
+
+
+def test_single_mode_inputs_convert_alike():
+    vec = fock.FockVector((6,), 2.0 * fock.coherent_fock(0.4j, 6).amplitudes)
+    rho = fock._density(vec)
+    np.testing.assert_array_equal(fock._density(fock.DensityMatrix(rho)),
+                                  fock.DensityMatrix(rho).matrix)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(InvalidArgumentError, match="single-mode"):
+        fock.smeared_mixture(fock.vacuum_fock((6, 6)))
+    with pytest.raises(InvalidArgumentError, match="DensityMatrix or"):
+        fock.smeared_mixture(np.eye(6) / 6.0)
+    with pytest.raises(InvalidArgumentError, match="unrecognized f_spec"):
+        fock.smeared_mixture(fock.vacuum_fock((6,)), {"symmetric": True})
+
+
 def test_tensor_layout_is_mode_major():
     # flat index (n_c d_a + n_a) d_b + n_b
     c = fock.FockVector((2,), np.array([0.0, 1.0], np.complex128))

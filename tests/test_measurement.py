@@ -249,6 +249,24 @@ def test_coefficient_rows_match_literal_products():
         measurement.clone_a_coefficient_rows(-1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_coefficient_rows_refuse_non_finite_coupling(lam):
+    # "lam <= 0" let both through to a row of NaNs
+    with pytest.raises(InvalidArgumentError, match="positive and finite"):
+        measurement.clone_a_coefficient_rows(lam)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                 12.5])
+def test_closed_forms_refuse_coupling_outside_the_network_range(lam):
+    # povm_params(nan, ...) once returned a bundle of NaNs, and past
+    # lam = 12 its discriminant is roundoff
+    with pytest.raises(InvalidArgumentError, match="lam must lie in"):
+        measurement.povm_params(lam, 0.0, RIGHT)
+    with pytest.raises(InvalidArgumentError, match="lam must lie in"):
+        measurement.expected_moments(lam, (0.0, 0.0, 0.25, 0.25))
+
+
 def test_expected_moments_validation():
     with pytest.raises(InvalidArgumentError):
         measurement.expected_moments(0.0, (0.0, 0.0, 0.25, 0.25))

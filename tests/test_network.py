@@ -291,6 +291,23 @@ def test_fock_run_refuses_truncation_below_two(truncation):
                            backend="fock", truncation=truncation)
 
 
+OFF_LAMBDAS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 12.5]
+
+
+@pytest.mark.parametrize("lam", OFF_LAMBDAS)
+def test_network_refuses_coupling_outside_its_range(lam):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^lam must lie in \(0, 12\]$"):
+        network.network_from_lambda(lam)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, 0.2, 4.5])
+def test_network_refuses_width_outside_its_range(sigma):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^sigma must lie in \[0.25, 4\]$"):
+        network.network_from_lambda(3.0, sigma)
+
+
 @pytest.mark.parametrize("backend", ["gaussian", "fock"])
 @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0),
                                    complex(0.0, math.inf), -math.inf])
