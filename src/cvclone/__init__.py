@@ -13,10 +13,9 @@ from .fock import (DensityMatrix, FockVector, annihilation_matrix,
                    build_generator, coherent_fock, matrix_exponential,
                    apply_network_fock, projector_form_check, reduced_density,
                    smeared_mixture, tensor, trace_distance, vacuum_fock)
-from .gaussian import (GaussianState, SymplecticTransform,
-                       apply_beam_splitter, apply_two_mode_squeezer,
-                       beam_splitter, displace, fidelity_with_coherent,
-                       husimi_q, quadrature_moments, reduce, two_mode_squeezer,
+from .gaussian import (GaussianState, SymplecticTransform, beam_splitter,
+                       displace, fidelity_with_coherent, husimi_q,
+                       quadrature_moments, reduce, two_mode_squeezer,
                        vacuum_state)
 from .measurement import (MomentReport, PovmParams, expected_moments,
                           husimi_limit_check, povm_density, povm_density_grid,
@@ -35,8 +34,7 @@ __all__ = [
     "build_generator", "coherent_fock", "matrix_exponential",
     "apply_network_fock", "projector_form_check", "reduced_density",
     "smeared_mixture", "tensor", "trace_distance", "vacuum_fock",
-    "GaussianState", "SymplecticTransform", "apply_beam_splitter",
-    "apply_two_mode_squeezer", "beam_splitter", "displace",
+    "GaussianState", "SymplecticTransform", "beam_splitter", "displace",
     "fidelity_with_coherent", "husimi_q", "quadrature_moments", "reduce",
     "two_mode_squeezer", "vacuum_state",
     "MomentReport", "PovmParams", "expected_moments", "husimi_limit_check",

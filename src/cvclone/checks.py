@@ -271,14 +271,15 @@ def _check_backend_equivalence(truncation: int, seed: int):
         gates, alphas = _random_circuit(rng)
         amps = fock.tensor(*[fock.coherent_fock(al, d) for al in alphas])
         amps = amps.amplitudes
-        total = gaussian.SymplecticTransform(np.eye(6))
+        total = None
         for kind, i, j, s in gates:
             if kind == "tms":
                 gen = fock.pair_generator("squeezer", dims, i, j)
-                total = gaussian.two_mode_squeezer(3, i, j, s).compose(total)
+                gate = gaussian.two_mode_squeezer(3, i, j, s)
             else:
                 gen = fock.pair_generator("splitter", dims, i, j)
-                total = gaussian.beam_splitter(3, i, j, s).compose(total)
+                gate = gaussian.beam_splitter(3, i, j, s)
+            total = gate if total is None else gate.compose(total)
             amps = fock.expm_apply(s * gen, amps)
         mean_in = np.empty(6)
         for m, al in enumerate(alphas):

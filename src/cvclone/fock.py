@@ -543,13 +543,13 @@ def _parse_f_spec(f_spec):
         return 1.0, 1.0
     if isinstance(f_spec, dict) and "sigma" in f_spec:
         s = float(f_spec["sigma"])
-        if s <= 0:
-            raise InvalidArgumentError("sigma must be positive")
+        if not 0 < s < math.inf:
+            raise InvalidArgumentError("sigma must be positive and finite")
         return s, 1.0 / s
     if isinstance(f_spec, dict) and "width" in f_spec:
         w = float(f_spec["width"])
-        if w <= 0:
-            raise InvalidArgumentError("width must be positive")
+        if not 0 < w < math.inf:
+            raise InvalidArgumentError("width must be positive and finite")
         return w, w
     raise InvalidArgumentError(f"unrecognized f_spec {f_spec!r}")
 

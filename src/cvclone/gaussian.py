@@ -12,6 +12,11 @@ see tests):
 
   two-mode squeezer  e^{r(ij − i†j†)}:   i → i cosh r − j† sinh r
   beam splitter      e^{θ(i†j − ij†)}:   i → i cos θ + j sin θ,  j → j cos θ − i sin θ
+
+Input is checked once, where it enters: gates check their modes and strength,
+states their shapes, finiteness and symmetry, and ``SymplecticTransform(
+matrix)`` a caller's matrix. Closed-form gates and their products and inverses
+are symplectic by construction and skip the defect test.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-_SYMMETRY_TOL = 1e-12
 _SYMPLECTIC_TOL = 1e-12
 
 
@@ -53,6 +57,10 @@ class GaussianState:
         if mean.shape != (d,) or cov.shape != (d, d):
             raise InvalidArgumentError(
                 f"mean/cov shape mismatch for {self.n_modes} modes")
+        # before the asymmetry test, whose inf - inf would warn
+        if not all(map(math.isfinite, mean.tolist() + cov.ravel().tolist())):
+            raise InvalidArgumentError(
+                "GaussianState mean or covariance is not finite")
         asym = np.abs(cov - cov.T).max()
         if asym > 1e-9:
             raise InvalidArgumentError(f"covariance asymmetry {asym:.2e}")
@@ -77,12 +85,16 @@ class SymplecticTransform:
         d = s.shape[0]
         if s.shape != (d, d) or d % 2:
             raise InvalidArgumentError("matrix must be square and even-sized")
+        # finiteness first: inf * 0 in S Omega S^T would warn
+        peak = float(np.abs(s).max())
+        if not peak < math.inf:
+            raise InvalidArgumentError("matrix is not finite")
         omega = symplectic_form(d // 2)
         err = np.abs(s @ omega @ s.T - omega).max()
         # roundoff in S Omega S^T scales with |S|^2 (cosh/sinh cancellation
         # at large squeeze), so the defect bound must be relative
-        scale = max(1.0, float(np.abs(s).max()) ** 2)
-        if err > _SYMPLECTIC_TOL * scale:
+        scale = max(1.0, peak ** 2)
+        if not err <= _SYMPLECTIC_TOL * scale:
             raise InvalidArgumentError(
                 f"matrix is not symplectic (defect {err:.2e}, "
                 f"scale {scale:.2e})")
@@ -90,12 +102,10 @@ class SymplecticTransform:
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray):
-        """Wrap a product of validated transforms without re-validating.
-
-        Roundoff in a long composition reflects the intermediate factors'
-        magnitudes, which the final matrix no longer reveals, so the defect
-        check would need context it cannot have.
-        """
+        """Wrap a closed-form gate, or a product or inverse of transforms,
+        without the defect test kept for a caller's matrix: each is symplectic
+        by construction, and a long product's roundoff reflects factor
+        magnitudes that the final matrix no longer reveals."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", matrix)
         return obj
@@ -128,6 +138,16 @@ def _check_mode(n_modes: int, mode: int) -> int:
     return mode
 
 
+def _check_pair(n_modes: int, i: int, j: int, strength: float,
+                gate: str) -> None:
+    """Every pair gate's rule: distinct modes in range, a finite strength."""
+    _check_mode(n_modes, i), _check_mode(n_modes, j)
+    if i == j:
+        raise InvalidArgumentError(f"{gate} needs two distinct modes")
+    if not math.isfinite(strength):
+        raise InvalidArgumentError(f"{gate} strength must be finite")
+
+
 def vacuum_state(n_modes: int) -> GaussianState:
     if n_modes < 1:
         raise InvalidArgumentError("need at least one mode")
@@ -146,9 +166,7 @@ def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
 
 def two_mode_squeezer(n_modes: int, i: int, j: int, r: float) -> SymplecticTransform:
     """Symplectic matrix of e^{r(ij − i†j†)} acting on modes (i, j)."""
-    _check_mode(n_modes, i), _check_mode(n_modes, j)
-    if i == j:
-        raise InvalidArgumentError("squeezer needs two distinct modes")
+    _check_pair(n_modes, i, j, r, "squeezer")
     s = np.eye(2 * n_modes)
     ch, sh = math.cosh(r), math.sinh(r)
     xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
@@ -156,30 +174,18 @@ def two_mode_squeezer(n_modes: int, i: int, j: int, r: float) -> SymplecticTrans
     s[xj, xj] = ch; s[xj, xi] = -sh
     s[yi, yi] = ch; s[yi, yj] = sh
     s[yj, yj] = ch; s[yj, yi] = sh
-    return SymplecticTransform(s)
+    return SymplecticTransform._trusted(s)
 
 
 def beam_splitter(n_modes: int, i: int, j: int, angle: float) -> SymplecticTransform:
     """Symplectic matrix of e^{θ(i†j − ij†)} acting on modes (i, j)."""
-    _check_mode(n_modes, i), _check_mode(n_modes, j)
-    if i == j:
-        raise InvalidArgumentError("beam splitter needs two distinct modes")
+    _check_pair(n_modes, i, j, angle, "beam splitter")
     s = np.eye(2 * n_modes)
     c, sn = math.cos(angle), math.sin(angle)
     for p, q in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
         s[p, p] = c; s[p, q] = sn
         s[q, q] = c; s[q, p] = -sn
-    return SymplecticTransform(s)
-
-
-def apply_two_mode_squeezer(state: GaussianState, i: int, j: int,
-                            r: float) -> GaussianState:
-    return two_mode_squeezer(state.n_modes, i, j, r).apply(state)
-
-
-def apply_beam_splitter(state: GaussianState, i: int, j: int,
-                        angle: float) -> GaussianState:
-    return beam_splitter(state.n_modes, i, j, angle).apply(state)
+    return SymplecticTransform._trusted(s)
 
 
 def reduce(state: GaussianState, keep) -> GaussianState:

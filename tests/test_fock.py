@@ -512,6 +512,11 @@ def test_smeared_mixture_input_checks():
         fock.smeared_mixture(fock.vacuum_fock((10,)), "symmetric", grid=21)
     with pytest.raises(InvalidArgumentError):
         fock.smeared_mixture(fock.vacuum_fock((10,)), {"width": -1.0})
+    # these once ran on to RuntimeWarnings and a LinAlgError
+    for key in ("sigma", "width"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError, match="positive and"):
+                fock.smeared_mixture(fock.vacuum_fock((10,)), {key: bad})
     with pytest.raises(GridTooCoarseError):
         # wide smear on a short ladder loses trace past the 1e-4 bound
         fock.smeared_mixture(fock.vacuum_fock((8,)), {"width": 3.0})

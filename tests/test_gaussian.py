@@ -27,7 +27,8 @@ def test_two_mode_squeezer_twin_beam_covariance():
     # cosh(2 atanh t) = (1 + t^2)/(1 - t^2) and sinh(2 atanh t) = 2t/(1 - t^2);
     # at t = 1/3 the single-mode variance cosh(2r)/4 is exactly 5/16 and the
     # cross term sinh(2r)/4 is 3/16, negative in X and positive in Y
-    st = gaussian.apply_two_mode_squeezer(gaussian.vacuum_state(2), 0, 1, T0)
+    st = gaussian.two_mode_squeezer(2, 0, 1, T0).apply(
+        gaussian.vacuum_state(2))
     assert st.cov[0, 0] == pytest.approx(5.0 / 16.0, abs=1e-15)
     assert st.cov[1, 1] == pytest.approx(5.0 / 16.0, abs=1e-15)
     assert st.cov[2, 2] == pytest.approx(5.0 / 16.0, abs=1e-15)
@@ -38,20 +39,21 @@ def test_two_mode_squeezer_twin_beam_covariance():
 
 
 def test_two_mode_squeezer_is_pure():
-    st = gaussian.apply_two_mode_squeezer(gaussian.vacuum_state(2), 0, 1, 1.3)
+    st = gaussian.two_mode_squeezer(2, 0, 1, 1.3).apply(
+        gaussian.vacuum_state(2))
     assert np.linalg.det(4.0 * st.cov) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_beam_splitter_quarter_turn_swaps_modes():
     st = gaussian.displace(gaussian.vacuum_state(2), 0, 0.8 - 0.2j)
-    out = gaussian.apply_beam_splitter(st, 0, 1, math.pi / 2.0)
+    out = gaussian.beam_splitter(2, 0, 1, math.pi / 2.0).apply(st)
     assert out.mode_mean(0) == pytest.approx(0.0, abs=1e-15)
     assert out.mode_mean(1) == pytest.approx(-(0.8 - 0.2j), abs=1e-15)
 
 
 def test_beam_splitter_balanced_split():
     st = gaussian.displace(gaussian.vacuum_state(2), 0, 1.0 + 0j)
-    out = gaussian.apply_beam_splitter(st, 0, 1, math.pi / 4.0)
+    out = gaussian.beam_splitter(2, 0, 1, math.pi / 4.0).apply(st)
     r = 1.0 / math.sqrt(2.0)
     assert out.mode_mean(0) == pytest.approx(r, abs=1e-15)
     assert out.mode_mean(1) == pytest.approx(-r, abs=1e-15)
@@ -132,8 +134,16 @@ def test_symplectic_validation_rejects_scaling():
 
 def test_symplectic_validation_is_relative_at_large_squeeze():
     # cosh(8) ~ 1.5e3; an absolute defect bound at 1e-12 would reject this
-    big = gaussian.two_mode_squeezer(2, 0, 1, 8.0)
+    big = gaussian.SymplecticTransform(
+        gaussian.two_mode_squeezer(2, 0, 1, 8.0).matrix)
     assert abs(big.matrix[0, 0]) > 1e3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_symplectic_validation_refuses_non_finite_matrices(bad):
+    # a NaN defect once passed the test "defect > bound"
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        gaussian.SymplecticTransform([[bad, 0.0], [0.0, 1.0]])
 
 
 def test_compose_against_matrix_product():
@@ -173,8 +183,30 @@ def test_gate_constructors_refuse_out_of_range_modes(i, j):
         with pytest.raises(InvalidArgumentError, match="out of range"):
             gate(3, i, j, 0.4)
     state = gaussian.vacuum_state(3)
-    for apply in (gaussian.apply_two_mode_squeezer,
-                  gaussian.apply_beam_splitter):
+    for gate in (gaussian.two_mode_squeezer, gaussian.beam_splitter):
         with pytest.raises(InvalidArgumentError, match="out of range"):
-            apply(state, i, j, 0.4)
+            gate(state.n_modes, i, j, 0.4).apply(state)
+
+
+@pytest.mark.parametrize("strength", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_gate_constructors_refuse_non_finite_strengths(strength):
+    # NaN and inf once built NaN matrices, and a beam splitter at inf raised
+    # ValueError from math.cos
+    for gate in (gaussian.two_mode_squeezer, gaussian.beam_splitter):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            gate(3, 0, 1, strength)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_state_refuses_non_finite_moments_without_warning(bad):
+    # the asymmetry test on an inf covariance once warned on inf - inf
+    quarter = np.eye(2) / 4.0
+    bad_cov = quarter.copy()
+    bad_cov[1, 1] = bad
+    for mean, cov in (([bad, 0.0], quarter), ([0.0, 0.0], bad_cov)):
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            gaussian.GaussianState(1, mean, cov)
 

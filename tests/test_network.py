@@ -331,10 +331,24 @@ def test_run_cloner_refuses_non_finite_states():
                       ([0.0, math.inf], quarter),
                       ([0.0, 0.0], [[0.25, 0.0], [0.0, math.nan]]),
                       ([0.0, 0.0], [[math.inf, 0.0], [0.0, 0.25]])):
-        with np.errstate(invalid="ignore"):     # its symmetry test: inf - inf
-            state = gaussian.GaussianState(1, mean, cov)
         with pytest.raises(InvalidArgumentError, match="not finite"):
-            network.run_cloner(state, spec)
+            network.run_cloner(gaussian.GaussianState(1, mean, cov), spec)
+
+
+def test_gaussian_run_cloner_skips_the_defect_test(monkeypatch):
+    # closed-form gates and their product are symplectic by construction;
+    # only a caller's matrix is tested through S Omega S^T
+    calls = []
+    form = gaussian.symplectic_form
+    monkeypatch.setattr(gaussian, "symplectic_form",
+                        lambda n: calls.append(n) or form(n))
+    for sigma in (1.0, 1.5):
+        spec = network.network_from_lambda(3.0, sigma)
+        network.run_cloner(0.5 + 0.2j, spec)
+        network.run_cloner(gaussian.vacuum_state(1), spec)
+    assert calls == []
+    gaussian.SymplecticTransform(np.eye(6))
+    assert calls == [3]
 
 
 @pytest.mark.filterwarnings("ignore:guard-band leakage")
