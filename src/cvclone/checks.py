@@ -316,20 +316,6 @@ def _check_weyl_covariance(truncation: int, seed: int):
 
 # ------------------------------------------------------------ clone symmetry
 
-def added_noise_exact(lam: float):
-    """Exact single-clone added noise (clone c, clone a) for sigma = 1.
-
-    Quadratic forms of the network's quadrature coefficient rows; both decay
-    to the optimal 1/4 like e^(-2 lam).
-    """
-    eps = 2.0 * math.exp(-lam)
-    lamp = lam - TWIN_BEAM_SQUEEZE
-    noise_c = 0.5 * math.sinh(eps) ** 2 * math.cosh(lamp) ** 2
-    r, p, q = measurement.clone_a_coefficient_rows(lam)
-    noise_a = 0.25 * (r * r + p * p + q * q - 1.0)
-    return noise_c, noise_a
-
-
 def _check_clone_symmetry(truncation: int):
     lam, d = 6.0, min(truncation, 16)
     spec = network.network_from_lambda(lam)
@@ -338,7 +324,8 @@ def _check_clone_symmetry(truncation: int):
     res_g = network.run_cloner(0.5 + 0j, spec, backend="gaussian")
     _, var_c = gaussian.quadrature_moments(res_g.clone_c, 0, 0.0)
     _, var_a = gaussian.quadrature_moments(res_g.clone_a, 0, 0.0)
-    noise_c, noise_a = added_noise_exact(lam)
+    noise_c, noise_a = measurement.expected_moments(
+        lam, (0.0, 0.0, 0.25, 0.25)).added_noise
     gap_c = abs(var_c - 0.25 - noise_c)
     gap_a = abs(var_a - 0.25 - noise_a)
     ok = tdist < 1e-3 and gap_c < 1e-11 and gap_a < 1e-11

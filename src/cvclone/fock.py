@@ -30,6 +30,11 @@ Since the generators are exactly anti-Hermitian, gate exponentials are
 unitary and norm loss cannot signal truncation failure. The truncation
 diagnostic used instead is guard-band leakage: probability mass in the top
 two levels of any mode (warn above 1e-3, raise above 1e-2, and raise on NaN).
+
+Input is checked once, where it enters: ``FockVector`` and ``DensityMatrix``
+refuse non-finite data, and a caller's density must be Hermitian, positive and
+of unit trace. Computed densities, Gram matrices t t^dag and positive mixtures
+of D rho D^dag, are positive by construction: ``gaussian._trusted`` wraps them.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from numpy.polynomial.hermite import hermgauss
 from . import _kernels
 from .errors import (GridTooCoarseError, InvalidArgumentError,
                      TruncationOverflowError, TruncationWarning)
+from .gaussian import _trusted
 
 _LEAK_WARN = 1e-3
 _LEAK_FAIL = 1e-2
@@ -69,6 +75,8 @@ class FockVector:
         size = int(np.prod(dims))
         if amps.shape != (size,):
             raise InvalidArgumentError("amplitude length != product of dims")
+        if not np.isfinite(amps).all():
+            raise InvalidArgumentError("FockVector amplitudes are not finite")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -80,6 +88,8 @@ class FockVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "FockVector":
+        if not self.amplitudes.any():
+            raise InvalidArgumentError("cannot normalize a zero FockVector")
         return FockVector(self.dims, self.amplitudes / self.norm())
 
     def leakage(self) -> float:
@@ -140,12 +150,12 @@ def coherent_fock(alpha: complex, dim: int) -> FockVector:
     amps[0] = 1.0
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    vec = FockVector((dim,), amps)
-    dropped = 1.0 - math.exp(-abs(alpha) * abs(alpha)) * vec.norm() ** 2
-    # dropped is NaN once amps overflow
+    norm = float(np.linalg.norm(amps))
+    dropped = 1.0 - math.exp(-abs(alpha) * abs(alpha)) * norm ** 2
+    # dropped is NaN once amps overflow, before FockVector would refuse them
     _guard_band(dropped, f"coherent input {alpha} drops {dropped:.2e} of its "
                 f"norm at dim {dim}", stacklevel=2)
-    return vec.normalized()
+    return FockVector((dim,), amps / norm)
 
 
 def tensor(*vecs: FockVector) -> FockVector:
@@ -468,6 +478,9 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("density matrix must be square")
+        # before m - m^H, whose inf - inf would warn
+        if not np.isfinite(m).all():
+            raise InvalidArgumentError("density matrix is not finite")
         herm = np.abs(m - m.conj().T).max()
         if herm > 1e-10:
             raise InvalidArgumentError(f"hermiticity violation {herm:.2e}")
@@ -500,14 +513,16 @@ class DensityMatrix:
 
 
 def reduced_density(state: FockVector, mode: int) -> DensityMatrix:
-    """Partial trace down to one mode."""
+    """Partial trace down to one mode, normalized to unit trace."""
     if not 0 <= mode < state.n_modes:
         raise InvalidArgumentError(f"mode {mode} out of range")
+    if not state.amplitudes.any():
+        raise InvalidArgumentError("cannot reduce a zero FockVector")
     t = state.amplitudes.reshape(state.dims)
     t = np.moveaxis(t, mode, 0).reshape(state.dims[mode], -1)
     rho = t @ t.conj().T
-    nrm = float(np.trace(rho).real)
-    return DensityMatrix(rho / nrm)
+    rho = rho / float(np.trace(rho).real)
+    return _trusted(DensityMatrix, matrix=0.5 * (rho + rho.conj().T))
 
 
 def _density(state) -> np.ndarray:
@@ -588,7 +603,8 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
         raise GridTooCoarseError(
             f"mixture trace {tr:.6f}; the smear moves mass past the "
             "truncation, raise truncation")
-    return DensityMatrix(mix / tr)
+    mix /= tr
+    return _trusted(DensityMatrix, matrix=0.5 * (mix + mix.conj().T))
 
 
 # ------------------------------------------------------- projector-form limit

@@ -15,8 +15,10 @@ see tests):
 
 Input is checked once, where it enters: gates check their modes and strength,
 states their shapes, finiteness and symmetry, and ``SymplecticTransform(
-matrix)`` a caller's matrix. Closed-form gates and their products and inverses
-are symplectic by construction and skip the defect test.
+matrix)`` a caller's matrix. ``_trusted`` wraps what is computed from checked
+input with no second check: closed-form gates and their products and inverses,
+symplectic by construction (a product's S Omega S^T roundoff reflects factors
+it no longer shows), and transformed states and their marginals.
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 _SYMPLECTIC_TOL = 1e-12
+
+
+def _trusted(cls, **fields):
+    """The frozen dataclass ``cls`` with ``fields`` set but its constructor's
+    checks skipped: for what a backend computes from input already checked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -89,6 +100,9 @@ class SymplecticTransform:
         peak = float(np.abs(s).max())
         if not peak < math.inf:
             raise InvalidArgumentError("matrix is not finite")
+        if not d * peak * peak < math.inf:
+            raise InvalidArgumentError(
+                f"matrix entry {peak:.2e} is too large: S Omega S^T overflows")
         omega = symplectic_form(d // 2)
         err = np.abs(s @ omega @ s.T - omega).max()
         # roundoff in S Omega S^T scales with |S|^2 (cosh/sinh cancellation
@@ -100,16 +114,6 @@ class SymplecticTransform:
                 f"scale {scale:.2e})")
         object.__setattr__(self, "matrix", s)
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray):
-        """Wrap a closed-form gate, or a product or inverse of transforms,
-        without the defect test kept for a caller's matrix: each is symplectic
-        by construction, and a long product's roundoff reflects factor
-        magnitudes that the final matrix no longer reveals."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "matrix", matrix)
-        return obj
-
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
@@ -120,16 +124,17 @@ class SymplecticTransform:
         mean = self.matrix @ state.mean
         cov = self.matrix @ state.cov @ self.matrix.T
         cov = 0.5 * (cov + cov.T)
-        return GaussianState(state.n_modes, mean, cov)
+        return _trusted(GaussianState, n_modes=state.n_modes, mean=mean,
+                        cov=cov)
 
     def compose(self, inner: "SymplecticTransform") -> "SymplecticTransform":
         """The map that applies ``inner`` first, then this transform."""
-        return SymplecticTransform._trusted(self.matrix @ inner.matrix)
+        return _trusted(SymplecticTransform, matrix=self.matrix @ inner.matrix)
 
     def inverse(self) -> "SymplecticTransform":
         omega = symplectic_form(self.n_modes)
         inv = -omega @ self.matrix.T @ omega
-        return SymplecticTransform._trusted(inv)
+        return _trusted(SymplecticTransform, matrix=inv)
 
 
 def _check_mode(n_modes: int, mode: int) -> int:
@@ -167,14 +172,17 @@ def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
 def two_mode_squeezer(n_modes: int, i: int, j: int, r: float) -> SymplecticTransform:
     """Symplectic matrix of e^{r(ij − i†j†)} acting on modes (i, j)."""
     _check_pair(n_modes, i, j, r, "squeezer")
+    try:
+        ch, sh = math.cosh(r), math.sinh(r)
+    except OverflowError:
+        raise InvalidArgumentError(f"squeezer cosh({r}) overflows") from None
     s = np.eye(2 * n_modes)
-    ch, sh = math.cosh(r), math.sinh(r)
     xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
     s[xi, xi] = ch; s[xi, xj] = -sh
     s[xj, xj] = ch; s[xj, xi] = -sh
     s[yi, yi] = ch; s[yi, yj] = sh
     s[yj, yj] = ch; s[yj, yi] = sh
-    return SymplecticTransform._trusted(s)
+    return _trusted(SymplecticTransform, matrix=s)
 
 
 def beam_splitter(n_modes: int, i: int, j: int, angle: float) -> SymplecticTransform:
@@ -185,15 +193,12 @@ def beam_splitter(n_modes: int, i: int, j: int, angle: float) -> SymplecticTrans
     for p, q in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
         s[p, p] = c; s[p, q] = sn
         s[q, q] = c; s[q, p] = -sn
-    return SymplecticTransform._trusted(s)
+    return _trusted(SymplecticTransform, matrix=s)
 
 
 def reduce(state: GaussianState, keep) -> GaussianState:
-    """Gaussian marginal on the given modes (order preserved for sequences)."""
-    if isinstance(keep, (set, frozenset)):
-        keep = sorted(keep)
-    else:
-        keep = list(keep)
+    """Gaussian marginal on the given modes, in the order given."""
+    keep = list(keep)
     if not keep:
         raise InvalidArgumentError("keep set must be nonempty")
     if len(set(keep)) != len(keep):
@@ -201,8 +206,8 @@ def reduce(state: GaussianState, keep) -> GaussianState:
     for m in keep:
         _check_mode(state.n_modes, m)
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep])
-    return GaussianState(len(keep), state.mean[idx],
-                         state.cov[np.ix_(idx, idx)])
+    return _trusted(GaussianState, n_modes=len(keep), mean=state.mean[idx],
+                    cov=state.cov[np.ix_(idx, idx)])
 
 
 def quadrature_moments(state: GaussianState, mode: int, phase: float):
@@ -216,10 +221,12 @@ def quadrature_moments(state: GaussianState, mode: int, phase: float):
     return mean, var
 
 
-def _overlap_core(state: GaussianState, point: np.ndarray) -> float:
-    # det/quadratic form of (cov + I/4) against a phase-space point
+def _overlap_core(state: GaussianState, z: complex, name: str) -> float:
+    # det/quadratic form of (cov + I/4) against the phase-space point z
+    if state.n_modes != 1:
+        raise InvalidArgumentError(f"{name} needs a single mode")
     m = state.cov + np.eye(2) / 4.0
-    delta = state.mean - point
+    delta = state.mean - np.array([np.real(z), np.imag(z)])
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     quad = delta @ np.linalg.solve(m, delta)
     return math.exp(-0.5 * quad) / math.sqrt(det)
@@ -227,15 +234,9 @@ def _overlap_core(state: GaussianState, point: np.ndarray) -> float:
 
 def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:
     """<alpha| rho |alpha> for a single-mode Gaussian rho."""
-    if state.n_modes != 1:
-        raise InvalidArgumentError("fidelity_with_coherent needs a single mode")
-    point = np.array([np.real(alpha), np.imag(alpha)])
-    return 0.5 * _overlap_core(state, point)
+    return 0.5 * _overlap_core(state, alpha, "fidelity_with_coherent")
 
 
 def husimi_q(state: GaussianState, z: complex) -> float:
     """(1/pi) <z| rho |z>; integrates to 1 over the complex plane."""
-    if state.n_modes != 1:
-        raise InvalidArgumentError("husimi_q needs a single mode")
-    point = np.array([np.real(z), np.imag(z)])
-    return _overlap_core(state, point) / (2.0 * math.pi)
+    return _overlap_core(state, z, "husimi_q") / (2.0 * math.pi)

@@ -107,8 +107,7 @@ def gains(spec: CloningNetworkSpec):
     cosh^2(lam). For sigma != 1 stage 1 excludes the preparation (its strength
     is -lam), and the reported G1 reflects the stage as built.
     """
-    g = tuple(math.cosh(st.strength) ** 2 for st in spec.stages)
-    return g
+    return tuple(math.cosh(st.strength) ** 2 for st in spec.stages)
 
 
 def sigma_prep_covariance(sigma: float) -> np.ndarray:
@@ -189,8 +188,8 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
 
     The symplectic backend takes a coherent amplitude or a single-mode
     GaussianState; the Fock backend takes a coherent amplitude or a
-    single-mode FockVector. Amplitudes must be finite, and GaussianState
-    refuses a non-finite mean or covariance itself. The Fock backend starts
+    single-mode FockVector. Amplitudes must be finite; each state type
+    refuses non-finite data itself, where it is built. The Fock backend starts
     (a, b) in ``preparation_state`` at every sigma, leak-checked as
     "preparation", and runs stage 1 at -lam.
 
@@ -221,8 +220,8 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
             prep = preparation_state(spec.sigma, "gaussian")
             mean[2:6] = prep.mean
             cov[2:6, 2:6] = prep.cov
-        state = gaussian.GaussianState(3, mean, cov)
-        out = _network_transform(spec).apply(state)
+        out = _network_transform(spec).apply(gaussian._trusted(
+            gaussian.GaussianState, n_modes=3, mean=mean, cov=cov))
         return CloneResult(
             "gaussian", out,
             clone_c=gaussian.reduce(out, [0]),
@@ -238,9 +237,6 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
         if input_state.n_modes != 1 or input_state.dims[0] != truncation:
             raise InvalidArgumentError(
                 "input FockVector must be single-mode at the run truncation")
-        if not np.isfinite(input_state.amplitudes).all():
-            raise InvalidArgumentError(
-                "input FockVector amplitudes are not finite")
         vec_c = input_state.normalized()
     else:
         alpha = fock._finite_amplitude(input_state)

@@ -140,11 +140,15 @@ def test_leakage_counts_top_levels():
 
 def test_leak_check_refuses_nan():
     # NaN > 1e-2 is False, so a bare comparison would let it through
-    amps = np.zeros(27, np.complex128)
-    amps[0] = math.nan
     with pytest.raises(TruncationOverflowError,
                        match="leakage nan after merged network"):
-        fock._leak_check(fock.FockVector((3, 3, 3), amps), "merged network")
+        fock._guard_band(math.nan,
+                         "guard-band leakage nan after merged network", 1)
+    # a NaN state no longer reaches the leak check: the vector refuses it
+    amps = np.zeros(27, np.complex128)
+    amps[0] = math.nan
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        fock.FockVector((3, 3, 3), amps)
 
 
 def test_generators_are_anti_hermitian():
@@ -437,6 +441,44 @@ def test_density_matrix_validation():
     bad = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(InvalidArgumentError):
         fock.DensityMatrix(bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_states_refuse_non_finite_data_without_warning(bad):
+    # the Hermiticity test on an inf matrix once warned on inf - inf, and a
+    # NaN matrix or vector was accepted
+    amps = np.zeros(4, np.complex128)
+    amps[1] = bad
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        fock.FockVector((2, 2), amps)
+    for entry in (bad, complex(0.0, bad)):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 0] = entry
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            fock.DensityMatrix(m)
+
+
+def test_computed_densities_skip_the_eigenvalue_test(monkeypatch):
+    # a Gram matrix t t^dag and a positive mixture of D rho D^dag are
+    # positive by construction; only a caller's matrix is eigensolved.
+    # hermgauss eigensolves its 41 x 41 Jacobi matrix, so count 16 x 16 only
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(m.shape) or eigvalsh(m))
+    spec = network.network_from_lambda(3.0)
+    res = network.run_cloner(0.3 + 0.2j, spec, backend="fock", truncation=16)
+    for rho in (res.clone_c, fock.reduced_density(res.state, 1)):
+        mix = fock.smeared_mixture(rho)
+        assert mix.matrix.dtype == np.complex128
+        np.testing.assert_array_equal(mix.matrix, mix.matrix.conj().T)
+    np.testing.assert_array_equal(res.clone_a.matrix,
+                                  res.clone_a.matrix.conj().T)
+    assert (16, 16) not in calls
+    fock.DensityMatrix(res.clone_c.matrix)
+    assert calls[-1] == (16, 16)
 
 
 def test_merged_and_literal_paths_agree_on_clones():

@@ -146,6 +146,48 @@ def test_symplectic_validation_refuses_non_finite_matrices(bad):
         gaussian.SymplecticTransform([[bad, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_finite_strengths_and_matrices_are_refused():
+    # each once ended in OverflowError: from math.cosh, and from the squared
+    # peak entry that scales the defect bound
+    for r in (1000.0, -1000.0):
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            gaussian.two_mode_squeezer(3, 0, 1, r)
+    assert gaussian.two_mode_squeezer(3, 0, 1, 700.0).matrix[0, 0] > 1e303
+    for big in ([[1e200, 0.0], [0.0, 1e-200]], [[1e200, 0.0], [0.0, 1.0]]):
+        with pytest.raises(InvalidArgumentError, match="too large"):
+            gaussian.SymplecticTransform(big)
+
+
+def test_gates_and_compositions_skip_the_constructor(monkeypatch):
+    # only a caller's matrix runs the S Omega S^T test
+    calls = []
+    check = gaussian.SymplecticTransform.__post_init__
+    monkeypatch.setattr(gaussian.SymplecticTransform, "__post_init__",
+                        lambda self: calls.append(self) or check(self))
+    sq = gaussian.two_mode_squeezer(3, 0, 1, 2.0)
+    bs = gaussian.beam_splitter(3, 1, 2, 0.7)
+    both = bs.compose(sq)
+    ident = both.compose(both.inverse()).matrix
+    np.testing.assert_allclose(ident, np.eye(6), atol=1e-12)
+    assert calls == []
+    gaussian.SymplecticTransform(both.matrix)
+    assert len(calls) == 1
+
+
+def test_transformed_states_and_marginals_skip_the_constructor(monkeypatch):
+    st = gaussian.displace(gaussian.vacuum_state(3), 0, 0.4 - 0.1j)
+    calls = []
+    check = gaussian.GaussianState.__post_init__
+    monkeypatch.setattr(gaussian.GaussianState, "__post_init__",
+                        lambda self: calls.append(self.n_modes) or check(self))
+    out = gaussian.two_mode_squeezer(3, 0, 2, 1.1).apply(st)
+    np.testing.assert_array_equal(out.cov, out.cov.T)
+    marginal = gaussian.reduce(out, [2, 0])
+    np.testing.assert_array_equal(marginal.mean, out.mean[[4, 5, 0, 1]])
+    assert calls == []
+
+
 def test_compose_against_matrix_product():
     a = gaussian.two_mode_squeezer(2, 0, 1, 0.4)
     b = gaussian.beam_splitter(2, 0, 1, 0.9)

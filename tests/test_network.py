@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cvclone import checks, fock, gaussian, network
+from cvclone import checks, fock, gaussian, measurement, network
 from cvclone.errors import InvalidArgumentError, TruncationOverflowError
 
 T0 = math.atanh(1.0 / 3.0)
@@ -160,7 +160,8 @@ def test_clone_added_noise_matches_closed_form():
     for lam in (1.0, 2.0, 4.0, 6.0):
         spec = network.network_from_lambda(lam)
         res = network.run_cloner(0.4 + 0.1j, spec, backend="gaussian")
-        noise_c, noise_a = checks.added_noise_exact(lam)
+        noise_c, noise_a = measurement.expected_moments(
+            lam, (0.0, 0.0, 0.25, 0.25)).added_noise
         for clone, noise in ((res.clone_c, noise_c), (res.clone_a, noise_a)):
             _, var_x = gaussian.quadrature_moments(clone, 0, 0.0)
             _, var_y = gaussian.quadrature_moments(clone, 0, math.pi / 2.0)
@@ -184,7 +185,8 @@ def test_added_noise_closed_form_large_lam_limit():
     # keep the tiny excess clean even where literal hyperbolic products
     # would cancel at the e^(2 lam) scale
     for lam in (6.0, 8.0, 10.0):
-        noise_c, noise_a = checks.added_noise_exact(lam)
+        noise_c, noise_a = measurement.expected_moments(
+            lam, (0.0, 0.0, 0.25, 0.25)).added_noise
         assert noise_c - 0.25 == pytest.approx(
             (4.0 / 3.0) * math.exp(-2.0 * lam), rel=1e-3)
         assert noise_a - 0.25 == pytest.approx(
@@ -349,6 +351,57 @@ def test_gaussian_run_cloner_skips_the_defect_test(monkeypatch):
     assert calls == []
     gaussian.SymplecticTransform(np.eye(6))
     assert calls == [3]
+
+
+def test_gaussian_run_cloner_checks_only_the_preparation(monkeypatch):
+    # the three-mode input, the output and its marginals are computed from
+    # checked input; at sigma != 1 preparation_state builds one checked state
+    given = gaussian.vacuum_state(1)
+    calls = []
+    check = gaussian.GaussianState.__post_init__
+    monkeypatch.setattr(gaussian.GaussianState, "__post_init__",
+                        lambda self: calls.append(self.n_modes) or check(self))
+    for sigma, expect in ((1.0, []), (1.5, [2])):
+        spec = network.network_from_lambda(3.0, sigma)
+        for state in (0.5 + 0.2j, given):
+            calls.clear()
+            res = network.run_cloner(state, spec)
+            assert calls == expect
+            assert res.clone_a.n_modes == 1
+            np.testing.assert_array_equal(res.clone_a.cov,
+                                          res.state.cov[2:4, 2:4])
+
+
+def test_run_cloner_leaves_fock_finiteness_to_the_vector():
+    # a NaN vector built past its constructor is refused when run_cloner
+    # normalizes it, by FockVector's own message: run_cloner has no
+    # finiteness test of its own
+    amps = fock.coherent_fock(0.3, 12).amplitudes.copy()
+    amps[3] = math.nan
+    vec = gaussian._trusted(fock.FockVector, dims=(12,), amplitudes=amps)
+    with pytest.raises(InvalidArgumentError,
+                       match="^FockVector amplitudes are not finite$"), \
+            np.errstate(invalid="ignore"):
+        network.run_cloner(vec, network.network_from_lambda(3.0),
+                           backend="fock", truncation=12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_fock_input_is_refused():
+    # a zero vector once normalized to NaNs with a RuntimeWarning, and then
+    # ended in leakage advice, a NaN density or LinAlgError; its partial
+    # trace divided by a zero trace
+    zero = fock.FockVector((8,), np.zeros(8))
+    with pytest.raises(InvalidArgumentError, match="zero FockVector"):
+        network.run_cloner(zero, network.network_from_lambda(3.0),
+                           backend="fock", truncation=8)
+    params = measurement.povm_params(3.0, 0.0, math.pi / 2.0)
+    with pytest.raises(InvalidArgumentError, match="zero FockVector"):
+        measurement.povm_density(params, 0.0, 0.0, zero)
+    with pytest.raises(InvalidArgumentError, match="zero FockVector"):
+        fock.smeared_mixture(zero)
+    with pytest.raises(InvalidArgumentError, match="zero FockVector"):
+        fock.reduced_density(fock.FockVector((2, 4), np.zeros(8)), 1)
 
 
 @pytest.mark.filterwarnings("ignore:guard-band leakage")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvclone import checks, fock, gaussian, measurement, network
+from cvclone import fock, gaussian, measurement, network
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 lam_st = st.floats(min_value=0.3, max_value=10.0)
@@ -102,7 +102,8 @@ def test_clone_fidelity_in_unit_interval(lam, re, im):
 @given(lam_st)
 @settings(max_examples=60, deadline=None)
 def test_added_noise_positive_and_ordered(lam):
-    noise_c, noise_a = checks.added_noise_exact(lam)
+    noise_c, noise_a = measurement.expected_moments(
+        lam, (0.0, 0.0, 0.25, 0.25)).added_noise
     # the joint-measurement floor is 1/4 of added noise per clone, reached
     # only asymptotically; the regrouped coefficient rows keep the excess
     # strictly positive even at the strong-coupling end of the range
