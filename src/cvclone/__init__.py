@@ -10,9 +10,9 @@ from .checks import CheckResult, run_all
 from .errors import (DomainError, GridTooCoarseError, InvalidArgumentError,
                      TruncationOverflowError, TruncationWarning)
 from .fock import (DensityMatrix, FockVector, annihilation_matrix,
-                   build_generator, coherent_fock, matrix_exponential,
-                   apply_network_fock, projector_form_check, reduced_density,
-                   smeared_mixture, tensor, trace_distance, vacuum_fock)
+                   apply_network_fock, build_generator, coherent_fock,
+                   projector_form_check, reduced_density, smeared_mixture,
+                   tensor, trace_distance, vacuum_fock)
 from .gaussian import (GaussianState, SymplecticTransform, beam_splitter,
                        displace, fidelity_with_coherent, husimi_q,
                        quadrature_moments, reduce, two_mode_squeezer,
@@ -31,9 +31,9 @@ __all__ = [
     "DomainError", "GridTooCoarseError", "InvalidArgumentError",
     "TruncationOverflowError", "TruncationWarning",
     "DensityMatrix", "FockVector", "annihilation_matrix",
-    "build_generator", "coherent_fock", "matrix_exponential",
-    "apply_network_fock", "projector_form_check", "reduced_density",
-    "smeared_mixture", "tensor", "trace_distance", "vacuum_fock",
+    "apply_network_fock", "build_generator", "coherent_fock",
+    "projector_form_check", "reduced_density", "smeared_mixture", "tensor",
+    "trace_distance", "vacuum_fock",
     "GaussianState", "SymplecticTransform", "beam_splitter", "displace",
     "fidelity_with_coherent", "husimi_q", "quadrature_moments", "reduce",
     "two_mode_squeezer", "vacuum_state",

@@ -5,11 +5,11 @@ operators are the two-mode gate generators, the pair squeezer or the splitter
 on one pair of modes: ``pair_generator`` builds each as a real (float64) DIA
 matrix of two diagonals from the mode-major index and caches it, and
 ``build_generator`` names the three network gates among them. Around them sit
-a dense scaling-and-squaring matrix exponential for single modes, network
-evolution by the action of the gate exponentials on the state
-(``expm_apply``), reduced density matrices, and the displaced-mixture
-integral. This module is the ground truth the symplectic backend is checked
-against.
+two exponentials, a dense scaling-and-squaring one for the single-mode
+squeezer (``squeeze_matrix``) and the action of a generator's exponential on
+a state (``expm_apply``), which network evolution applies factor by factor,
+then reduced density matrices and the displaced-mixture integral. This module
+is the ground truth the symplectic backend is checked against.
 
 ``expm_apply`` sums the Chebyshev expansion of exp(G) v (Tal-Ezer & Kosloff
 1984). G must be anti-Hermitian, which every truncated bilinear generator is
@@ -285,16 +285,6 @@ def squeeze_matrix(xi: complex, dim: int) -> np.ndarray:
     return _expm_dense(gen)
 
 
-def matrix_exponential(op) -> np.ndarray:
-    """exp(op) for a square array."""
-    mat = np.asarray(op, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidArgumentError("need a square matrix")
-    if not np.all(np.isfinite(mat)):
-        raise InvalidArgumentError("non-finite operator entries")
-    return _expm_dense(mat)
-
-
 def _chebyshev_coefficients(rho: float) -> np.ndarray:
     """The weights (2 - delta_k0) J_k(rho), k < K, of the Chebyshev sum.
 
@@ -424,46 +414,45 @@ def apply_network_fock(spec, state: FockVector,
     exp(s2 cosh(s3) A + s2 sinh(s3) B) exp((s1 + s3) C), which avoids passing
     through the strongly squeezed intermediate of the literal sequence.
     ``literal`` applies the three gates one by one; past moderate coupling it
-    trips the truncation diagnostic by design. Guard-band leakage is checked
-    after every factor: each gate on the literal path, and on the merged path
-    the output and any preparation exp((s1 + s3) C); ``run_cloner`` passes
-    s1 = -s3 and its own closed-form preparation. A state whose imaginary
-    part is exactly zero evolves in real arithmetic.
+    trips the truncation diagnostic by design. One loop applies each method's
+    labelled factors and checks guard-band leakage after each: "stage K(+s)"
+    per literal gate; on the merged path any "preparation" exp((s1 + s3) C),
+    then the "merged network". ``run_cloner`` passes s1 = -s3 and its own
+    preparation. A state with zero imaginary part evolves in real arithmetic.
     """
     if state.n_modes != 3:
         raise InvalidArgumentError("network input must have three modes")
     stages = spec.stages
     dims = state.dims
+    if method == "literal":
+        factors = [(build_generator(st.kind, dims) * st.strength,
+                    f"stage {st.kind}({st.strength:+.3f})") for st in stages]
+    elif method != "merged":
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    elif tuple(st.kind for st in stages) != ("C", "A", "C"):
+        raise InvalidArgumentError("merged path expects the C, A, C layout")
+    else:
+        import scipy.sparse as sp
+
+        s1, s2, s3 = (st.strength for st in stages)
+        prep = s1 + s3
+        factors = ([(build_generator("C", dims) * prep, "preparation")]
+                   if abs(prep) > 0 else [])
+        # A and B lie on distinct diagonals, so the mixed factor stacks their
+        # scaled full-width data
+        a, b = build_generator("A", dims), build_generator("B", dims)
+        factors.append((sp.dia_matrix(
+            (np.concatenate((a.data * (s2 * math.cosh(s3)),
+                             b.data * (s2 * math.sinh(s3)))),
+             np.concatenate((a.offsets, b.offsets))), shape=a.shape),
+            "merged network"))
     v = state.amplitudes
     if not v.imag.any():
         v = v.real
-    if method == "literal":
-        for st in stages:
-            v = expm_apply(build_generator(st.kind, dims) * st.strength, v)
-            out = _leak_check(FockVector(dims, v),
-                              f"stage {st.kind}({st.strength:+.3f})")
-        return out
-    if method != "merged":
-        raise InvalidArgumentError(f"unknown method {method!r}")
-    k1, k2, k3 = (st.kind for st in stages)
-    if (k1, k2, k3) != ("C", "A", "C"):
-        raise InvalidArgumentError("merged path expects the C, A, C layout")
-    s1, s2, s3 = (st.strength for st in stages)
-    prep = s1 + s3
-    if abs(prep) > 0:
-        v = expm_apply(build_generator("C", dims) * prep, v)
-        _leak_check(FockVector(dims, v), "preparation")
-    import scipy.sparse as sp
-
-    # A and B lie on distinct diagonals, so the mixed factor stacks their
-    # scaled full-width data
-    a, b = build_generator("A", dims), build_generator("B", dims)
-    mixed = sp.dia_matrix(
-        (np.concatenate((a.data * (s2 * math.cosh(s3)),
-                         b.data * (s2 * math.sinh(s3)))),
-         np.concatenate((a.offsets, b.offsets))), shape=a.shape)
-    v = expm_apply(mixed, v)
-    return _leak_check(FockVector(dims, v), "merged network")
+    for gen, label in factors:
+        v = expm_apply(gen, v)
+        out = _leak_check(FockVector(dims, v), label)
+    return out
 
 
 # ---------------------------------------------------------- density matrices
@@ -637,4 +626,4 @@ def projector_form_check(phi: FockVector, lam: float) -> float:
     kern = np.kron(np.outer(phi.amplitudes, phi.amplitudes.conj()), np.eye(d))
     target = 0.5 * (proj @ kern @ proj)
     target /= np.trace(target).real
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho_ca - target)).sum())
+    return trace_distance(rho_ca, target)

@@ -18,7 +18,8 @@ states their shapes, finiteness and symmetry, and ``SymplecticTransform(
 matrix)`` a caller's matrix. ``_trusted`` wraps what is computed from checked
 input with no second check: closed-form gates and their products and inverses,
 symplectic by construction (a product's S Omega S^T roundoff reflects factors
-it no longer shows), and transformed states and their marginals.
+it no longer shows), and transformed states and their marginals. ``apply``
+and ``compose`` refuse a product that overflows float64.
 """
 
 from __future__ import annotations
@@ -121,15 +122,24 @@ class SymplecticTransform:
     def apply(self, state: GaussianState) -> GaussianState:
         if state.n_modes != self.n_modes:
             raise InvalidArgumentError("mode-count mismatch")
-        mean = self.matrix @ state.mean
-        cov = self.matrix @ state.cov @ self.matrix.T
-        cov = 0.5 * (cov + cov.T)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                mean = self.matrix @ state.mean
+                cov = self.matrix @ state.cov @ self.matrix.T
+                cov = 0.5 * (cov + cov.T)
+        except FloatingPointError:
+            raise InvalidArgumentError("transformed state overflows") from None
         return _trusted(GaussianState, n_modes=state.n_modes, mean=mean,
                         cov=cov)
 
     def compose(self, inner: "SymplecticTransform") -> "SymplecticTransform":
         """The map that applies ``inner`` first, then this transform."""
-        return _trusted(SymplecticTransform, matrix=self.matrix @ inner.matrix)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                matrix = self.matrix @ inner.matrix
+        except FloatingPointError:
+            raise InvalidArgumentError("transform product overflows") from None
+        return _trusted(SymplecticTransform, matrix=matrix)
 
     def inverse(self) -> "SymplecticTransform":
         omega = symplectic_form(self.n_modes)
@@ -205,9 +215,9 @@ def reduce(state: GaussianState, keep) -> GaussianState:
         raise InvalidArgumentError("repeated mode index")
     for m in keep:
         _check_mode(state.n_modes, m)
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep])
-    return _trusted(GaussianState, n_modes=len(keep), mean=state.mean[idx],
-                    cov=state.cov[np.ix_(idx, idx)])
+    idx = [i for m in keep for i in (2 * m, 2 * m + 1)]
+    mean, cov = state.mean.take(idx), state.cov.take(idx, 0).take(idx, 1)
+    return _trusted(GaussianState, n_modes=len(keep), mean=mean, cov=cov)
 
 
 def quadrature_moments(state: GaussianState, mode: int, phase: float):

@@ -60,13 +60,12 @@ class CloningNetworkSpec:
 
 @dataclass(frozen=True)
 class CloneResult:
-    """Network output plus its single-mode restrictions."""
+    """Network output plus its two clones, the marginals of modes c and a."""
 
     backend: str
     state: object
     clone_c: object
     clone_a: object
-    ancilla_b: object
 
 
 def check_lambda(lam: float, name: str = "lam") -> None:
@@ -184,7 +183,7 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
                                   fock.FockVector],
                spec: CloningNetworkSpec, backend: str = "gaussian",
                truncation: int = 16, method: str = "merged") -> CloneResult:
-    """Clone a single-mode input; returns the full state and its restrictions.
+    """Clone a single-mode input; returns the full state and its two clones.
 
     The symplectic backend takes a coherent amplitude or a single-mode
     GaussianState; the Fock backend takes a coherent amplitude or a
@@ -222,11 +221,8 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
             cov[2:6, 2:6] = prep.cov
         out = _network_transform(spec).apply(gaussian._trusted(
             gaussian.GaussianState, n_modes=3, mean=mean, cov=cov))
-        return CloneResult(
-            "gaussian", out,
-            clone_c=gaussian.reduce(out, [0]),
-            clone_a=gaussian.reduce(out, [1]),
-            ancilla_b=gaussian.reduce(out, [2]))
+        return CloneResult("gaussian", out, clone_c=gaussian.reduce(out, [0]),
+                           clone_a=gaussian.reduce(out, [1]))
     if backend != "fock":
         raise InvalidArgumentError(f"unknown backend {backend!r}")
     if isinstance(input_state, gaussian.GaussianState):
@@ -252,8 +248,5 @@ def run_cloner(input_state: Union[complex, gaussian.GaussianState,
     if unit != 1.0:
         out = fock.FockVector(out.dims,
                               out.amplitudes * _charge_phases(unit, truncation))
-    return CloneResult(
-        "fock", out,
-        clone_c=fock.reduced_density(out, 0),
-        clone_a=fock.reduced_density(out, 1),
-        ancilla_b=fock.reduced_density(out, 2))
+    return CloneResult("fock", out, clone_c=fock.reduced_density(out, 0),
+                       clone_a=fock.reduced_density(out, 1))

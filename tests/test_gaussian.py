@@ -90,6 +90,18 @@ def test_reduce_preserves_requested_order():
     assert sub.mode_mean(1) == pytest.approx(2.0, abs=1e-15)
 
 
+def test_reduce_matches_fancy_indexing_and_is_contiguous():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(8, 8))
+    st = gaussian.GaussianState(4, rng.normal(size=8), m @ m.T)
+    for keep in ([0], [2], [3, 1], [0, 1, 2], [2, 0, 3, 1]):
+        idx = np.array([i for k in keep for i in (2 * k, 2 * k + 1)])
+        sub = gaussian.reduce(st, keep)
+        np.testing.assert_array_equal(sub.mean, st.mean[idx])
+        np.testing.assert_array_equal(sub.cov, st.cov[np.ix_(idx, idx)])
+        assert sub.mean.flags.c_contiguous and sub.cov.flags.c_contiguous
+
+
 def test_reduce_rejects_bad_mode_sets():
     st = gaussian.vacuum_state(2)
     with pytest.raises(InvalidArgumentError):
@@ -157,6 +169,24 @@ def test_large_finite_strengths_and_matrices_are_refused():
     for big in ([[1e200, 0.0], [0.0, 1e-200]], [[1e200, 0.0], [0.0, 1.0]]):
         with pytest.raises(InvalidArgumentError, match="too large"):
             gaussian.SymplecticTransform(big)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_products_that_overflow_are_refused():
+    # each gate is finite, but S V S^T or S S overflows float64; these once
+    # returned infinite moments with numpy's "overflow encountered in matmul"
+    sq = gaussian.two_mode_squeezer
+    state, product = "^transformed state overflows", "^transform product over"
+    with pytest.raises(InvalidArgumentError, match=state):
+        sq(2, 0, 1, 400.0).apply(gaussian.vacuum_state(2))
+    with pytest.raises(InvalidArgumentError, match=product):
+        sq(2, 0, 1, 360.0).compose(sq(2, 0, 1, 360.0))
+    wide = gaussian.GaussianState(2, np.zeros(4), 1e200 * np.eye(4))
+    with pytest.raises(InvalidArgumentError, match=state):
+        sq(2, 0, 1, 300.0).apply(wide)
+    # the largest squeezes the network reaches stay finite
+    big = sq(3, 0, 1, 12.0).compose(sq(3, 1, 2, 12.0))
+    assert np.isfinite(big.apply(gaussian.vacuum_state(3)).cov).all()
 
 
 def test_gates_and_compositions_skip_the_constructor(monkeypatch):

@@ -1,5 +1,6 @@
 """Network construction, gains, preparation states, end-to-end clone runs."""
 
+import dataclasses
 import math
 import warnings
 
@@ -256,19 +257,58 @@ def test_symmetric_fock_run_evolves_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("sigma", [1.0, 1.5])
-def test_fock_run_leak_checks_preparation_then_network(monkeypatch, sigma):
+def _spy_leak_labels(monkeypatch):
     labels = []
     real = fock._leak_check
+    monkeypatch.setattr(fock, "_leak_check",
+                        lambda vec, where: labels.append(where)
+                        or real(vec, where))
+    return labels
 
-    def spy(vec, where):
-        labels.append(where)
-        return real(vec, where)
 
-    monkeypatch.setattr(fock, "_leak_check", spy)
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+def test_fock_run_leak_checks_preparation_then_network(monkeypatch, sigma):
+    labels = _spy_leak_labels(monkeypatch)
     network.run_cloner(0.3, network.network_from_lambda(3.0, sigma),
                        backend="fock", truncation=24)
     assert labels == ["preparation", "merged network"]
+
+
+def test_literal_path_leak_checks_each_stage(monkeypatch):
+    labels = _spy_leak_labels(monkeypatch)
+    spec = network.network_from_lambda(0.5)
+    full = fock.tensor(fock.coherent_fock(0.3, 28), fock.vacuum_fock((28, 28)))
+    fock.apply_network_fock(spec, full, method="literal")
+    assert labels == ["stage C(-0.153)", "stage A(+1.213)", "stage C(+0.500)"]
+
+
+def test_merged_path_from_vacuum_leak_checks_preparation_then_network(
+        monkeypatch):
+    labels = _spy_leak_labels(monkeypatch)
+    full = fock.tensor(fock.coherent_fock(0.3, 24), fock.vacuum_fock((24, 24)))
+    fock.apply_network_fock(network.network_from_lambda(3.0), full)
+    assert labels == ["preparation", "merged network"]
+
+
+def test_clone_result_holds_the_state_and_two_clones():
+    fields = [f.name for f in dataclasses.fields(network.CloneResult)]
+    assert fields == ["backend", "state", "clone_c", "clone_a"]
+
+
+@pytest.mark.parametrize("backend, module, name", [
+    ("gaussian", gaussian, "reduce"), ("fock", fock, "reduced_density")])
+def test_run_cloner_computes_only_the_two_clone_marginals(
+        monkeypatch, backend, module, name):
+    modes = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda state, keep: modes.append(keep)
+                        or real(state, keep))
+    for sigma in (1.0, 1.5):
+        modes.clear()
+        network.run_cloner(0.3 + 0.1j, network.network_from_lambda(3.0, sigma),
+                           backend=backend, truncation=24)
+        assert len(modes) == 2
 
 
 @pytest.mark.parametrize("d", [25, 32])
