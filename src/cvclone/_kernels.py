@@ -4,15 +4,24 @@ Each kernel is vectorized with numpy over the batch axis; the test suite checks
 them against explicit loops and against dense matrix exponentials.
 
 The central recurrence builds displacement-operator matrix elements
-``<m|D(z)|n>`` column by column without factorials:
+``<m|D(z)|n>`` without factorials. On and below the diagonal, m = n + k with
+k >= 0, the element is exp(-x/2) z^k sqrt(n!/m!) L_n^(k)(x) with x = |z|^2,
+and the three-term Laguerre recurrence runs down each diagonal:
 
-    col_0[m]    = exp(-|z|^2/2) z^m / sqrt(m!)
-    col_{n+1}[m] = (sqrt(m) col_n[m-1] - conj(z) col_n[m]) / sqrt(n+1)
+    t_0[k]     = exp(-x/2) z^k / sqrt(k!)                  (t_n[k] = <n+k|D|n>)
+    t_{n+1}[k] = ((2n+1+k-x) t_n[k] - sqrt(n(n+k)) t_{n-1}[k])
+                 / sqrt((n+1)(n+k+1))
+
+Run forward, it keeps roundoff near the size of the elements: against a
+padded dense exponential they are off by 1e-15 at |z| = 3 and 6 on 64 x 64
+and 96 x 32 blocks, and by 4.6e-14 at |z| = 0.014 on 64 levels. Above the
+diagonal <m|D|n> = (-1)^(m+n) conj(<n|D|m>). The column recurrence
+col_{n+1} = (a^dag - conj(z)) col_n / sqrt(n+1), which this replaces, lost
+digits as the blocks grew: it was off by 1e-7 on the 32 x 32 block and by
+0.18 on the 64 x 64 block at |z| = 3.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,24 +33,31 @@ def displacement_columns_batch(zs, dim, ncols):
     """<m|D(z)|n> for m < dim, n < ncols, for every z in the batch.
 
     Returns a (len(zs), dim, ncols) complex array. It is a transposed view of
-    a (ncols, len(zs), dim) buffer, so each recurrence step writes one
-    contiguous block.
+    an (ncols, rows, len(zs)) buffer, rows = max(dim, ncols): each diagonal
+    step writes one contiguous block, buf[n, n:] = t_n, and the batch is the
+    contiguous axis, so the upper triangle is copied one batch row at a time.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    nb = zs.shape[0]
-    buf = np.empty((ncols, nb, dim), np.complex128)
-    col = buf[0]
-    col[:, 0] = np.exp(-0.5 * (zs.real**2 + zs.imag**2))
-    for m in range(1, dim):
-        col[:, m] = col[:, m - 1] * zs / math.sqrt(m)
-    zc = np.conj(zs)[:, None]
-    roots = np.sqrt(np.arange(dim, dtype=np.float64))
+    rows = max(dim, ncols)
+    buf = np.empty((ncols, rows, zs.shape[0]), np.complex128)
+    x = zs.real**2 + zs.imag**2
+    steps = buf[0]
+    steps[0] = np.exp(-0.5 * x)
+    np.multiply(zs, 1.0 / np.sqrt(np.arange(1.0, rows))[:, None],
+                out=steps[1:])
+    np.cumprod(steps, axis=0, out=steps)
+    ks = np.arange(rows, dtype=np.float64)[:, None]
     for n in range(ncols - 1):
-        col, nxt = buf[n], buf[n + 1]
-        nxt[:, 0] = -zc[:, 0] * col[:, 0]
-        nxt[:, 1:] = roots[1:] * col[:, :-1] - zc * col[:, 1:]
-        nxt *= 1.0 / math.sqrt(n + 1.0)
-    return buf.transpose(1, 2, 0)
+        k = ks[: rows - n - 1]
+        nxt = buf[n + 1, n + 1:]
+        np.multiply((2 * n + 1) + k - x, buf[n, n:rows - 1], out=nxt)
+        if n:
+            nxt -= np.sqrt(n * (n + k)) * buf[n - 1, n - 1:rows - 2]
+        nxt *= 1.0 / np.sqrt((n + 1) * (n + 1 + k))
+    for n in range(1, ncols):                  # <m|D|n> = (-1)^(m+n) <n|D|m>*
+        np.conjugate(buf[:n, n], out=buf[n, :n])
+        buf[n, n - 1::-2] *= -1.0
+    return buf[:, :dim].transpose(2, 1, 0)
 
 
 def _mirror_half(zs):
@@ -63,7 +79,8 @@ def povm_grid_values(zs, s_dag, rho, weights, prefactor):
 
     u_n = s_dag @ D(z)|n>, evaluated for every z in the batch. The squeeze is
     folded into the state once, M = s_dag^H rho s_dag, so each point costs one
-    product of M with its displacement columns, all points in one GEMM.
+    product of M with its displacement columns: one GEMM per thermal term
+    over all points, so one term's products are held at a time.
 
     A mirror-symmetric batch (zs[::-1] = -zs) builds columns for its first
     half only. With P = diag((-1)^m), D(-z) = P D(z) P, so the columns of -z
@@ -84,13 +101,17 @@ def povm_grid_values(zs, s_dag, rho, weights, prefactor):
         parts = np.stack([folded, np.outer(sign, sign) * folded])
         zs = zs[:half]
     cols = displacement_columns_batch(zs, dim, weights.shape[0])
-    cols = np.ascontiguousarray(cols.transpose(2, 0, 1))      # [n, b, m]
-    nth, nb, nparts = cols.shape[0], cols.shape[1], parts.shape[0]
-    prods = cols @ parts.reshape(nparts * dim, dim).T      # [n, b, (part, m)]
-    # Re(c^H y) is the dot product of the real views of c and y.
-    q = np.einsum("nbk,nbsk,n->sb", cols.view(np.float64),
-                  prods.view(np.float64).reshape(nth, nb, nparts, 2 * dim),
-                  weights)
+    cols = np.ascontiguousarray(cols.transpose(2, 1, 0))      # [n, m, b]
+    nb, nparts = cols.shape[2], parts.shape[0]
+    stacked = parts.reshape(nparts * dim, dim)
+    # Re(conj(c) y) = c.re y.re + c.im y.im: the real views interleave the
+    # two along the batch axis, so sum each (re, im) pair after contracting
+    q = np.zeros((nparts, 2 * nb))
+    for weight, col in zip(weights, cols):
+        prods = (stacked @ col).view(np.float64)          # [(part, m), b]
+        q += weight * np.einsum("mB,smB->sB", col.view(np.float64),
+                                prods.reshape(nparts, dim, 2 * nb))
+    q = q.reshape(nparts, nb, 2).sum(axis=2)
     if half is None:
         return prefactor * q[0]
     return prefactor * np.concatenate([q[0], q[1][: total - half][::-1]])
@@ -99,19 +120,22 @@ def povm_grid_values(zs, s_dag, rho, weights, prefactor):
 def smear_accumulate(disp_mats, weights, rho):
     """sum_k weights[k] * D_k rho D_k^dagger over a batch of displacements.
 
-    ``rho`` is one (d, d) state or a stack (s, d, d); the result has its
-    shape. Two GEMMs on the (n, k, m) layout that displacement_columns_batch
-    builds, with no transposing copy: R = rho (w_k D_k^dagger) for all k at
-    once, then sum over (n, k) of D_k[m, n] R[n, k, q].
+    ``disp_mats`` is (nb, m_out, n_in): each D_k may be a rectangular block,
+    such as the first n_in columns of a displacement on a longer ladder.
+    ``rho`` is one (n_in, n_in) state or a stack (s, n_in, n_in); the result
+    is (m_out, m_out) or (s, m_out, m_out). The blocks are copied once into
+    an (n, k, m) layout for two GEMMs: R = rho (w_k D_k^dagger) for all k at
+    once, then the sum over (n, k) of D_k[m, n] R[n, k, q].
     """
-    nb, dim, _ = disp_mats.shape
+    nb, m_out, n_in = disp_mats.shape
     cols = np.ascontiguousarray(disp_mats.transpose(2, 0, 1))  # [n, k, m]
     right = cols.conj()
     right *= weights[:, None]
-    stack = rho.reshape(-1, dim)
-    prods = stack @ right.reshape(dim, nb * dim)
-    out = cols.reshape(dim * nb, dim).T @ prods.reshape(-1, dim * nb, dim)
-    return out.reshape(rho.shape)
+    stack = rho.reshape(-1, n_in)
+    prods = stack @ right.reshape(n_in, nb * m_out)
+    out = cols.reshape(n_in * nb, m_out).T @ prods.reshape(-1, n_in * nb,
+                                                           m_out)
+    return out.reshape(rho.shape[:-2] + (m_out, m_out))
 
 
 def displacement_columns(z, dim, ncols):

@@ -42,6 +42,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -558,35 +559,64 @@ def _parse_f_spec(f_spec):
     raise InvalidArgumentError(f"unrecognized f_spec {f_spec!r}")
 
 
+@functools.lru_cache(maxsize=8)
+def _hermgauss(grid: int) -> tuple:
+    """Read-only Gauss-Hermite nodes and weights; every mixture shares them."""
+    nodes, wts = hermgauss(grid)
+    nodes.setflags(write=False)
+    wts.setflags(write=False)
+    return nodes, wts
+
+
+def _grid_size(grid) -> int:
+    """The node count per axis: an integer, at least 41."""
+    try:
+        grid = operator.index(grid)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"grid must be an integer, got {grid!r}") from None
+    if grid < 41:
+        raise InvalidArgumentError("need at least a 41x41 node grid")
+    return grid
+
+
 def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     """Gaussian displacement mixture of a single-mode state.
 
     Integrates D(z) rho D†(z) against the squared kernel |f|^2 on a tensor
-    Gauss-Hermite grid aligned with the Gaussian weight. The grid is symmetric
-    under z -> -z and z -> z*, and with P = diag((-1)^n), D(-z) = P D(z) P and
-    D(z*) = conj D(z). So only the quadrant u, v >= 0 is summed, with nodes on
-    an axis at half weight, as S(sigma) for the four images sigma = rho, P rho
-    P, rho*, P rho* P, and the mixture is
-    S(rho) + conj S(rho*) + P (S(P rho P) + conj S(P rho* P)) P.
+    Gauss-Hermite grid aligned with the Gaussian weight, z = a + ib with
+    a = wx u/√2 and b = wy v/√2. Since D(a + ib) = e^{iab} D(a) D(ib) and the
+    phase cancels in D rho D†, the grid sum factors into two one-dimensional
+    passes: inner = sum_v w_v D(ib_v) rho D(ib_v)†, then
+    mix = sum_u (w_u/π) D(a_u) inner D(a_u)†. The factoring is exact on an
+    untruncated ladder, so the inner state lives on a longer ladder, padded
+    by the reach of the wider smear. A smear that adds more photons,
+    (wx^2 + wy^2)/4 on average, than the ladder has levels is refused before
+    any work: there even a vacuum keeps less than 0.7 of its trace, far from
+    the 1e-4 the result may lose.
     """
     rho = _density(phi)
-    if grid < 41:
-        raise InvalidArgumentError("need at least a 41x41 node grid")
+    grid = _grid_size(grid)
     wx, wy = _parse_f_spec(f_spec)
     dim = rho.shape[0]
-    nodes, wts = hermgauss(grid)
-    nodes, wts = nodes[grid // 2:], wts[grid // 2:].copy()
-    if grid % 2:
-        wts[0] *= 0.5                                  # the node on the axis
-    u, v = np.meshgrid(nodes, nodes, indexing="ij")
-    zs = ((wx * u + 1j * wy * v) / math.sqrt(2.0)).ravel()
-    weights = np.outer(wts, wts).ravel() / math.pi
-    disp = _kernels.displacement_columns_batch(zs, dim, dim)
-    sign = (-1.0) ** np.arange(dim)
-    parity = np.outer(sign, sign)
-    images = np.stack([rho, parity * rho, rho.conj(), parity * rho.conj()])
-    part = _kernels.smear_accumulate(disp, weights, images)
-    mix = part[0] + part[2].conj() + parity * (part[1] + part[3].conj())
+    rms = 0.5 * math.hypot(wx, wy)         # sqrt of the mean added photons
+    if not rms * rms <= dim:
+        raise GridTooCoarseError(
+            f"the smear adds {rms * rms:.3g} photons on average, more than "
+            f"the {dim} levels of the truncation; raise truncation")
+    # sqrt(wide) - sqrt(dim) = 1.5 + max(wx, wy) keeps the two passes within
+    # 3.2e-15 of the tensor-grid sum: measured for d = 8-64, widths 0.05-4
+    # and sigma 0.25-6, on coherent and Fock inputs, at grids 41 and 81
+    wide = math.ceil((math.sqrt(dim) + 1.5 + max(wx, wy)) ** 2)
+    nodes, wts = _hermgauss(grid)
+    # D(a)[:dim, :wide] = D(-a)[:wide, :dim]^T for real a, so both passes
+    # build dim columns on the wide ladder
+    steps = nodes / math.sqrt(2.0)
+    up = _kernels.displacement_columns_batch(1j * wy * steps, wide, dim)
+    inner = _kernels.smear_accumulate(up, wts, rho)
+    down = _kernels.displacement_columns_batch(-wx * steps, wide, dim)
+    mix = _kernels.smear_accumulate(down.transpose(0, 2, 1), wts / math.pi,
+                                    inner)
     tr = float(np.trace(mix).real)
     if abs(tr - 1.0) > 1e-4:
         raise GridTooCoarseError(

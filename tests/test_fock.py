@@ -568,26 +568,84 @@ def test_smeared_mixture_input_checks():
 def _full_grid_mixture(rho, wx, wy, grid):
     """Unnormalized sum of w D(z) rho D(z)^dag over every node of the grid."""
     nodes, wts = hermgauss(grid)
-    u, v = np.meshgrid(nodes, nodes, indexing="ij")
-    zs = ((wx * u + 1j * wy * v) / math.sqrt(2.0)).ravel()
-    weights = np.outer(wts, wts).ravel() / math.pi
-    mats = _kernels.displacement_columns_batch(zs, rho.shape[0], rho.shape[0])
-    left = (weights[:, None, None] * mats) @ rho
-    return (left @ mats.conj().transpose(0, 2, 1)).sum(axis=0)
+    dim = rho.shape[0]
+    total = np.zeros_like(rho)
+    for u, w_u in zip(nodes, wts):          # one row of the grid at a time
+        zs = (wx * u + 1j * wy * nodes) / math.sqrt(2.0)
+        mats = _kernels.displacement_columns_batch(zs, dim, dim)
+        left = ((w_u / math.pi) * wts[:, None, None] * mats) @ rho
+        total += (left @ mats.conj().transpose(0, 2, 1)).sum(axis=0)
+    return total
 
 
 @pytest.mark.parametrize("grid", [41, 42])
 @pytest.mark.parametrize("f_spec,widths", [
     ("symmetric", (1.0, 1.0)), ({"sigma": 1.5}, (1.5, 1.0 / 1.5)),
-    ({"width": 0.5}, (0.5, 0.5))])
+    ({"width": 0.5}, (0.5, 0.5)), ({"width": 2.0}, (2.0, 2.0)),
+    ({"sigma": 2.0}, (2.0, 0.5))])
 def test_smeared_mixture_matches_full_grid_sum(grid, f_spec, widths):
-    # a displaced input: every parity block and both quadrature signs count
-    base = fock.coherent_fock(0.4 - 0.3j, 16)
-    rho = np.outer(base.amplitudes, base.amplitudes.conj())
-    expect = _full_grid_mixture(rho, *widths, grid)
-    expect /= np.trace(expect).real
-    got = fock.smeared_mixture(base, f_spec, grid).matrix
-    assert np.abs(got - expect).max() < 1e-14
+    # the two one-dimensional passes against the tensor-grid sum, on short
+    # and long ladders; a displaced input makes every parity block and both
+    # quadrature signs count, and the widest smears pin the padded ladder
+    accepted = 0
+    for dim in (8, 12, 16, 24, 32):
+        for alpha in (0.4 - 0.3j, 0j, 1 + 0.5j):
+            base = fock.coherent_fock(alpha, dim)
+            rho = np.outer(base.amplitudes, base.amplitudes.conj())
+            expect = _full_grid_mixture(rho, *widths, grid)
+            trace = np.trace(expect).real
+            if abs(trace - 1.0) > 1e-4:
+                with pytest.raises(GridTooCoarseError,
+                                   match=f"mixture trace {trace:.6f};"):
+                    fock.smeared_mixture(base, f_spec, grid)
+                continue
+            got = fock.smeared_mixture(base, f_spec, grid).matrix
+            assert np.abs(got - expect / trace).max() < 1e-14
+            accepted += 1
+    assert accepted >= 4      # measured 4 for width 2.0, 14 for width 0.5
+
+
+def test_smeared_mixture_refuses_extreme_widths_cleanly():
+    # a smear adding more photons on average, (wx^2 + wy^2)/4, than the ladder
+    # has levels is refused before any column is built; the widest of these
+    # once overflowed squaring |z|
+    vac = fock.vacuum_fock((16,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for f_spec in ({"width": 30.0}, {"width": 1e3}, {"width": 1e200},
+                       {"sigma": 1e200}, {"sigma": 1e-200}):
+            with pytest.raises(GridTooCoarseError,
+                               match="photons on average, more than the 16 "
+                                     "levels of the truncation"):
+                fock.smeared_mixture(vac, f_spec)
+
+
+@pytest.mark.parametrize("dim", [8, 16, 32])
+def test_smeared_mixture_bound_takes_only_lossy_smears(dim):
+    # just inside the bound even a vacuum is built and then loses far more
+    # than the 1e-4 of trace that the trace test allows
+    n_add = 0.98 * dim
+    sigma = math.sqrt(2.0 * n_add + math.sqrt(4.0 * n_add ** 2 - 1.0))
+    for f_spec in ({"width": math.sqrt(2.0 * n_add)}, {"sigma": sigma}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GridTooCoarseError,
+                               match=r"mixture trace 0\.[0-8]"):
+                fock.smeared_mixture(fock.vacuum_fock((dim,)), f_spec)
+
+
+def test_smeared_mixture_grid_domain():
+    vac = fock.vacuum_fock((10,))
+    for bad in (41.0, "41", None, True, 40):
+        with pytest.raises(InvalidArgumentError, match="grid"):
+            fock.smeared_mixture(vac, "symmetric", grid=bad)
+    np.testing.assert_array_equal(
+        fock.smeared_mixture(vac, "symmetric", grid=np.int64(41)).matrix,
+        fock.smeared_mixture(vac).matrix)
+    # every mixture shares the cached nodes and weights
+    for arr in fock._hermgauss(41):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_smeared_mixture_refusal_reports_full_grid_trace():

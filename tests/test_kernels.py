@@ -28,6 +28,16 @@ def test_recurrence_matches_padded_expm():
         assert np.abs(dense[:16, :16] - mine[:16, :16]).max() < 1e-11
 
 
+def test_recurrence_stays_accurate_on_long_ladders():
+    # the column recurrence the diagonal one replaced was off by 0.18 on the
+    # 64-level block at |z| = 3 and by 3.2 on the 96 x 32 block at |z| = 6
+    for z, rows, ncols in ((3.0 * np.exp(0.7j), 64, 64), (6j, 96, 32),
+                           (-6.0, 96, 32), (0.01 + 0.01j, 64, 64)):
+        dense = _dense_displacement(z, 260)
+        mine = _kernels.displacement_columns(z, rows, ncols)
+        assert np.abs(dense[:rows, :ncols] - mine).max() < 1e-12
+
+
 def test_first_column_closed_form():
     # <m|D(z)|0> = exp(-|z|^2/2) z^m / sqrt(m!)
     z = 0.7 - 0.5j
@@ -69,23 +79,26 @@ def test_batch_shape_and_consistency():
 
 
 def _scatter_columns(zs, dim, ncols):
-    """The recurrence written one output column at a time, <m|D(z)|n>."""
-    out = np.empty((len(zs), dim, ncols), np.complex128)
-    col = np.empty((len(zs), dim), np.complex128)
-    col[:, 0] = np.exp(-0.5 * (zs.real**2 + zs.imag**2))
-    for m in range(1, dim):
-        col[:, m] = col[:, m - 1] * zs / math.sqrt(m)
-    out[:, :, 0] = col
-    zc = np.conj(zs)[:, None]
-    roots = np.sqrt(np.arange(dim, dtype=np.float64))
-    for n in range(ncols - 1):
-        nxt = np.empty_like(col)
-        nxt[:, 0] = -zc[:, 0] * col[:, 0]
-        nxt[:, 1:] = roots[1:] * col[:, :-1] - zc * col[:, 1:]
-        nxt *= 1.0 / math.sqrt(n + 1.0)
-        out[:, :, n + 1] = nxt
-        col = nxt
-    return out
+    """The diagonal recurrence for one z at a time, <m|D(z)|n>."""
+    rows = max(dim, ncols)
+    out = np.empty((len(zs), rows, ncols), np.complex128)
+    for b, z in enumerate(zs):
+        x = z.real**2 + z.imag**2
+        steps = np.concatenate([[np.exp(-0.5 * x)],
+                                z * (1.0 / np.sqrt(np.arange(1.0, rows)))])
+        diag = [np.cumprod(steps)]                  # diag[n][k] = <n+k|D|n>
+        for n in range(ncols - 1):
+            k = np.arange(rows - n - 1, dtype=np.float64)
+            nxt = ((2 * n + 1) + k - x) * diag[n][:-1]
+            if n:
+                nxt -= np.sqrt(n * (n + k)) * diag[n - 1][:-2]
+            nxt *= 1.0 / np.sqrt((n + 1) * (n + 1 + k))
+            diag.append(nxt)
+        for n in range(ncols):
+            out[b, n:, n] = diag[n]
+            for m in range(n):
+                out[b, m, n] = (-1.0) ** (m + n) * np.conj(diag[m][n - m])
+    return out[:, :dim]
 
 
 @pytest.mark.parametrize("dim,ncols", [(12, 1), (12, 5), (12, 12),
@@ -132,6 +145,30 @@ def test_smear_accumulate_against_loop():
     got = np.asarray(_kernels.smear_accumulate(mats, wts, rho))
     expect = sum(w * (d @ rho @ d.conj().T) for w, d in zip(wts, mats))
     np.testing.assert_allclose(got, expect, atol=1e-13)
+
+
+def test_smear_accumulate_rectangular_blocks_against_loop():
+    # a tall block D[:m, :n] spreads an n-level state onto m levels, and a
+    # wide one D[:n, :m] brings an m-level state back down
+    rng = np.random.default_rng(15)
+    short, tall = 6, 11
+    zs = rng.normal(size=4) + 1j * rng.normal(size=4)
+    wts = rng.random(4)
+    up = _kernels.displacement_columns_batch(zs, tall, short)
+    down = _kernels.displacement_columns_batch(-zs, tall, short)
+    for mats, n_in in ((up, short), (down.transpose(0, 2, 1), tall)):
+        stack = (rng.normal(size=(2, n_in, n_in))
+                 + 1j * rng.normal(size=(2, n_in, n_in)))
+        got = _kernels.smear_accumulate(mats, wts, stack)
+        m_out = mats.shape[1]
+        assert got.shape == (2, m_out, m_out)
+        for rho, part in zip(stack, got):
+            expect = sum(w * (d @ rho @ d.conj().T)
+                         for w, d in zip(wts, mats))
+            np.testing.assert_allclose(part, expect, atol=1e-13)
+            np.testing.assert_allclose(
+                _kernels.smear_accumulate(mats, wts, rho), expect,
+                atol=1e-13)
 
 
 def test_povm_grid_values_mirror_batch_against_loop():
