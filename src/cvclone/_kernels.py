@@ -1,7 +1,10 @@
 """Numeric kernels for displacement elements, outcome densities and mixtures.
 
 Each kernel is vectorized with numpy over the batch axis; the test suite checks
-them against explicit loops and against dense matrix exponentials.
+them against explicit loops and against dense matrix exponentials. The
+density and mixture kernels take a state as a factor L of rho = L L^H, d x r,
+so their work grows with the rank r rather than with d: a pure state is one
+column.
 
 The central recurrence builds displacement-operator matrix elements
 ``<m|D(z)|n>`` without factorials. On and below the diagonal, m = n + k with
@@ -74,68 +77,64 @@ def _mirror_half(zs):
     return (zs.shape[0] + 1) // 2
 
 
-def povm_grid_values(zs, s_dag, rho, weights, prefactor):
+def povm_grid_values(zs, s_dag, factor, weights, prefactor):
     """Outcome densities prefactor * sum_n weights[n] <u_n|rho|u_n>.
 
-    u_n = s_dag @ D(z)|n>, evaluated for every z in the batch. The squeeze is
-    folded into the state once, M = s_dag^H rho s_dag, so each point costs one
-    product of M with its displacement columns: one GEMM per thermal term
-    over all points, so one term's products are held at a time.
+    u_n = s_dag @ D(z)|n>, evaluated for every z in the batch, and the state
+    enters as a factor L (d x r) of rho = L L^H. With R = L^H s_dag
+    (r x d), <u_n|rho|u_n> = |R c_n|^2 for the displacement column c_n, so
+    each point costs r products of length d per thermal term: one GEMM of R
+    with a term's columns over all points, so one term's products are held
+    at a time. The values are sums of squares, hence never negative.
 
     A mirror-symmetric batch (zs[::-1] = -zs) builds columns for its first
     half only. With P = diag((-1)^m), D(-z) = P D(z) P, so the columns of -z
-    are (-1)^n P c_n(z) and value(-z) = sum_n w_n c_n(z)^H (P M P) c_n(z):
-    the mirrored half is the same columns against P M P. (Splitting M into
-    parity blocks instead, value(+-z) = q_s +- q_d, loses the relative
-    accuracy of tiny densities to the cancellation in q_s - q_d.)
+    are (-1)^n P c_n(z) and value(-z) = sum_n w_n |R P c_n(z)|^2: the
+    mirrored half is the same columns against R P, stacked under R.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     total = zs.shape[0]
     dim = s_dag.shape[0]
-    folded = s_dag.conj().T @ rho @ s_dag
+    rows = factor.conj().T @ s_dag                              # R, r x d
     half = _mirror_half(zs)
-    if half is None:
-        parts = folded[None]
-    else:
-        sign = (-1.0) ** np.arange(dim)
-        parts = np.stack([folded, np.outer(sign, sign) * folded])
+    if half is not None:
+        rows = np.concatenate([rows, rows * (-1.0) ** np.arange(dim)])
         zs = zs[:half]
     cols = displacement_columns_batch(zs, dim, weights.shape[0])
     cols = np.ascontiguousarray(cols.transpose(2, 1, 0))      # [n, m, b]
-    nb, nparts = cols.shape[2], parts.shape[0]
-    stacked = parts.reshape(nparts * dim, dim)
-    # Re(conj(c) y) = c.re y.re + c.im y.im: the real views interleave the
-    # two along the batch axis, so sum each (re, im) pair after contracting
+    nb, nparts = cols.shape[2], 1 if half is None else 2
+    # |y|^2 = y.re^2 + y.im^2: the real view interleaves the two along the
+    # batch axis, so sum each (re, im) pair after squaring
     q = np.zeros((nparts, 2 * nb))
     for weight, col in zip(weights, cols):
-        prods = (stacked @ col).view(np.float64)          # [(part, m), b]
-        q += weight * np.einsum("mB,smB->sB", col.view(np.float64),
-                                prods.reshape(nparts, dim, 2 * nb))
+        prods = (rows @ col).view(np.float64)           # [(part, r), B]
+        prods = prods.reshape(nparts, -1, 2 * nb)
+        q += weight * np.einsum("srB,srB->sB", prods, prods)
     q = q.reshape(nparts, nb, 2).sum(axis=2)
     if half is None:
         return prefactor * q[0]
     return prefactor * np.concatenate([q[0], q[1][: total - half][::-1]])
 
 
-def smear_accumulate(disp_mats, weights, rho):
-    """sum_k weights[k] * D_k rho D_k^dagger over a batch of displacements.
+def smear_accumulate(disp_mats, weights, factor):
+    """sum_k weights[k] D_k rho D_k^dagger, and a factor of it, for rho = L L^H.
 
     ``disp_mats`` is (nb, m_out, n_in): each D_k may be a rectangular block,
     such as the first n_in columns of a displacement on a longer ladder.
-    ``rho`` is one (n_in, n_in) state or a stack (s, n_in, n_in); the result
-    is (m_out, m_out) or (s, m_out, m_out). The blocks are copied once into
-    an (n, k, m) layout for two GEMMs: R = rho (w_k D_k^dagger) for all k at
-    once, then the sum over (n, k) of D_k[m, n] R[n, k, q].
+    ``factor`` is L, (n_in, r), and the weights must not be negative.
+    Returns (mix, F): F, (m_out, r nb), holds the columns sqrt(w_k) D_k L
+    for every k, and mix = F F^H is (m_out, m_out). The blocks are copied
+    into [m, n, k] order, so that L^T times them gives F in [m, r, k] order
+    and one GEMM gives the sum: the work scales with the rank r of the
+    state. The copy is a no-op for the transposed blocks of the second
+    mixture pass, which ``displacement_columns_batch`` builds in that order.
     """
-    nb, m_out, n_in = disp_mats.shape
-    cols = np.ascontiguousarray(disp_mats.transpose(2, 0, 1))  # [n, k, m]
-    right = cols.conj()
-    right *= weights[:, None]
-    stack = rho.reshape(-1, n_in)
-    prods = stack @ right.reshape(n_in, nb * m_out)
-    out = cols.reshape(n_in * nb, m_out).T @ prods.reshape(-1, n_in * nb,
-                                                           m_out)
-    return out.reshape(rho.shape[:-2] + (m_out, m_out))
+    m_out = disp_mats.shape[1]
+    blocks = np.ascontiguousarray(disp_mats.transpose(1, 2, 0))   # [m, n, k]
+    out = np.matmul(factor.T, blocks)                             # [m, r, k]
+    out *= np.sqrt(weights)
+    out = out.reshape(m_out, -1)
+    return out @ out.conj().T, out
 
 
 def displacement_columns(z, dim, ncols):

@@ -515,16 +515,27 @@ def reduced_density(state: FockVector, mode: int) -> DensityMatrix:
     return _trusted(DensityMatrix, matrix=0.5 * (rho + rho.conj().T))
 
 
-def _density(state) -> np.ndarray:
-    """The matrix of a DensityMatrix or of a single-mode FockVector."""
+def _factor(state) -> np.ndarray:
+    """A factor L, d x r, with L L^H the density of a single-mode state.
+
+    A FockVector gives its normalised amplitudes as one column. A
+    DensityMatrix gives the eigenvectors v_i sqrt(w_i) of its positive
+    eigenvalues w_i; its constructor has refused any below -1e-8.
+    """
     if isinstance(state, DensityMatrix):
-        return state.matrix
+        return _eigen_factor(state.matrix)
     if isinstance(state, FockVector):
         if state.n_modes != 1:
             raise InvalidArgumentError("need a single-mode input")
-        v = state.normalized().amplitudes
-        return np.outer(v, v.conj())
+        return state.normalized().amplitudes[:, None]
     raise InvalidArgumentError("input must be a DensityMatrix or FockVector")
+
+
+def _eigen_factor(rho: np.ndarray) -> np.ndarray:
+    """Columns v_i sqrt(w_i) over the positive eigenvalues of Hermitian rho."""
+    wts, vecs = np.linalg.eigh(rho)
+    keep = wts > 0
+    return vecs[:, keep] * np.sqrt(wts[keep])
 
 
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
@@ -588,17 +599,22 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     a = wx u/√2 and b = wy v/√2. Since D(a + ib) = e^{iab} D(a) D(ib) and the
     phase cancels in D rho D†, the grid sum factors into two one-dimensional
     passes: inner = sum_v w_v D(ib_v) rho D(ib_v)†, then
-    mix = sum_u (w_u/π) D(a_u) inner D(a_u)†. The factoring is exact on an
+    mix = sum_u (w_u/π) D(a_u) inner D(a_u)†. Both passes work on a factor
+    of the state, rho = L L^H (see ``_kernels.smear_accumulate``): pass 1
+    returns the factor [sqrt(w_v) D(ib_v) L]_v of inner, which pass 2 takes
+    as it is unless it has more columns than rows, as for a full-rank input
+    or a short ladder; then the eigenvector factor of inner is narrower and
+    replaces it. The factoring is exact on an
     untruncated ladder, so the inner state lives on a longer ladder, padded
     by the reach of the wider smear. A smear that adds more photons,
     (wx^2 + wy^2)/4 on average, than the ladder has levels is refused before
     any work: there even a vacuum keeps less than 0.7 of its trace, far from
     the 1e-4 the result may lose.
     """
-    rho = _density(phi)
+    factor = _factor(phi)
     grid = _grid_size(grid)
     wx, wy = _parse_f_spec(f_spec)
-    dim = rho.shape[0]
+    dim = factor.shape[0]
     rms = 0.5 * math.hypot(wx, wy)         # sqrt of the mean added photons
     if not rms * rms <= dim:
         raise GridTooCoarseError(
@@ -613,10 +629,12 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     # build dim columns on the wide ladder
     steps = nodes / math.sqrt(2.0)
     up = _kernels.displacement_columns_batch(1j * wy * steps, wide, dim)
-    inner = _kernels.smear_accumulate(up, wts, rho)
+    inner, factor = _kernels.smear_accumulate(up, wts, factor)
+    if factor.shape[1] > wide:
+        factor = _eigen_factor(inner)
     down = _kernels.displacement_columns_batch(-wx * steps, wide, dim)
-    mix = _kernels.smear_accumulate(down.transpose(0, 2, 1), wts / math.pi,
-                                    inner)
+    mix, _ = _kernels.smear_accumulate(down.transpose(0, 2, 1),
+                                       wts / math.pi, factor)
     tr = float(np.trace(mix).real)
     if abs(tr - 1.0) > 1e-4:
         raise GridTooCoarseError(

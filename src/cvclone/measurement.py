@@ -10,9 +10,14 @@ under the outcome identification
 where (u, v) are the measured quadrature values; this identification was
 validated against the truncated-Fock oracle (pointwise to 1e-14 at lam = 3)
 and is the documented, supported map. At general angles the parameter bundle
-and densities remain available (completeness still holds numerically), but no
-outcome identification is claimed: the residual relation involves an extra
-area-preserving linear map with no closed form found, see the design notes.
+and densities remain available, but they are not complete: the thermal sum
+and the squeezed, displaced frame stop at the input's truncation d, so a grid
+loses q^d of its mass, q = ``thermal_base``. At lam = 3, theta - phi = 0.2 and
+d = 16 the vacuum grid integrates to 0.998408 = 1 - q^16; at the same lam
+and a right angle q = 8e-6, and q^d is far below roundoff. No outcome
+identification is claimed at general angles either: the residual relation
+involves an extra area-preserving linear map with no closed form found, see
+the design notes.
 
 The squeeze operator convention, also oracle-pinned, is
 S(xi) = exp((xi c^dag^2 - conj(xi) c^2)/2), built by ``fock.squeeze_matrix``.
@@ -146,15 +151,15 @@ def povm_density(params: PovmParams, x: float, x_prime: float,
 
 def povm_density_grid(params: PovmParams, xs, xps, input_state) -> np.ndarray:
     """Outcome density on the grid xs × xps; shape (len(xs), len(xps))."""
-    rho = fock._density(input_state)
-    dim = rho.shape[0]
+    factor = fock._factor(input_state)
+    dim = factor.shape[0]
     weights = _thermal_weights(params, dim)
     s_dag = _squeeze_dag(params.xi, dim)
     xs = np.asarray(xs, dtype=float)
     xps = np.asarray(xps, dtype=float)
     gx, gp = np.meshgrid(xs, xps, indexing="ij")
     zs = (params.alpha_of(gx, gp) * params.delta).ravel()
-    vals = _kernels.povm_grid_values(zs, s_dag, rho, weights,
+    vals = _kernels.povm_grid_values(zs, s_dag, factor, weights,
                                      params.prefactor)
     return vals.reshape(gx.shape)
 

@@ -95,11 +95,20 @@ def test_coherent_fock_refuses_non_finite_amplitude(alpha):
 
 
 def test_single_mode_inputs_convert_alike():
+    # a vector is one normalised column; a density matrix, full rank or
+    # not, gives L with L L^H equal to its matrix
     vec = fock.FockVector((6,), 2.0 * fock.coherent_fock(0.4j, 6).amplitudes)
-    rho = fock._density(vec)
-    np.testing.assert_array_equal(fock._density(fock.DensityMatrix(rho)),
-                                  fock.DensityMatrix(rho).matrix)
+    col = fock._factor(vec)
+    assert col.shape == (6, 1)
+    rho = col @ col.conj().T
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+    rng = np.random.default_rng(16)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    for mat in (rho, m[:, :2] @ m[:, :2].conj().T, m @ m.conj().T):
+        state = fock.DensityMatrix(mat / np.trace(mat).real)
+        factor = fock._factor(state)
+        np.testing.assert_allclose(factor @ factor.conj().T, state.matrix,
+                                   rtol=0, atol=1e-15)
     with pytest.raises(InvalidArgumentError, match="single-mode"):
         fock.smeared_mixture(fock.vacuum_fock((6, 6)))
     with pytest.raises(InvalidArgumentError, match="DensityMatrix or"):

@@ -111,40 +111,51 @@ def test_batch_columns_equal_scatter_reference(dim, ncols):
     assert np.array_equal(got, _scatter_columns(zs, dim, ncols))
 
 
+def _factors(rng, dim, ranks):
+    """Random state factors L (dim x r), normalised so L L^H has trace 1."""
+    out = []
+    for r in ranks:
+        m = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+        out.append(m / np.linalg.norm(m))
+    return out
+
+
 def test_povm_grid_values_against_loop():
+    # pure (r = 1), low-rank and full-rank (r = dim) factors of rho = L L^H
     rng = np.random.default_rng(11)
     dim = 10
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
     s_dag = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     zs = (rng.normal(size=7) + 1j * rng.normal(size=7))
-    # fewer thermal weights than levels, then one weight per level
-    for nth in (4, dim):
-        weights = 0.7 * 0.3 ** np.arange(nth)
-        got = np.asarray(_kernels.povm_grid_values(zs, s_dag, rho, weights,
-                                                   0.42))
-        for k, z in enumerate(zs):
-            cols = _kernels.displacement_columns(z, dim, nth)
-            acc = 0.0
-            for n in range(nth):
-                u = s_dag @ cols[:, n]
-                acc += weights[n] * np.real(u.conj() @ rho @ u)
-            assert got[k] == pytest.approx(0.42 * acc, rel=1e-12)
+    for factor in _factors(rng, dim, (1, 3, dim)):
+        rho = factor @ factor.conj().T
+        # fewer thermal weights than levels, then one weight per level
+        for nth in (4, dim):
+            weights = 0.7 * 0.3 ** np.arange(nth)
+            got = np.asarray(_kernels.povm_grid_values(zs, s_dag, factor,
+                                                       weights, 0.42))
+            for k, z in enumerate(zs):
+                cols = _kernels.displacement_columns(z, dim, nth)
+                acc = 0.0
+                for n in range(nth):
+                    u = s_dag @ cols[:, n]
+                    acc += weights[n] * np.real(u.conj() @ rho @ u)
+                assert got[k] == pytest.approx(0.42 * acc, rel=1e-12)
 
 
 def test_smear_accumulate_against_loop():
     rng = np.random.default_rng(12)
     dim = 8
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
     zs = rng.normal(size=5) + 1j * rng.normal(size=5)
     mats = _kernels.displacement_columns_batch(zs, dim, dim)
     wts = rng.random(5)
-    got = np.asarray(_kernels.smear_accumulate(mats, wts, rho))
-    expect = sum(w * (d @ rho @ d.conj().T) for w, d in zip(wts, mats))
-    np.testing.assert_allclose(got, expect, atol=1e-13)
+    for factor in _factors(rng, dim, (1, 3, dim)):
+        rho = factor @ factor.conj().T
+        got, out = _kernels.smear_accumulate(mats, wts, factor)
+        expect = sum(w * (d @ rho @ d.conj().T) for w, d in zip(wts, mats))
+        np.testing.assert_allclose(got, expect, atol=1e-13)
+        # the returned factor is [sqrt(w_k) D_k L]_k, and mix = F F^H
+        assert out.shape == (dim, 5 * factor.shape[1])
+        np.testing.assert_allclose(out @ out.conj().T, expect, atol=1e-13)
 
 
 def test_smear_accumulate_rectangular_blocks_against_loop():
@@ -157,49 +168,35 @@ def test_smear_accumulate_rectangular_blocks_against_loop():
     up = _kernels.displacement_columns_batch(zs, tall, short)
     down = _kernels.displacement_columns_batch(-zs, tall, short)
     for mats, n_in in ((up, short), (down.transpose(0, 2, 1), tall)):
-        stack = (rng.normal(size=(2, n_in, n_in))
-                 + 1j * rng.normal(size=(2, n_in, n_in)))
-        got = _kernels.smear_accumulate(mats, wts, stack)
         m_out = mats.shape[1]
-        assert got.shape == (2, m_out, m_out)
-        for rho, part in zip(stack, got):
+        for factor in _factors(rng, n_in, (1, 2, n_in)):
+            rho = factor @ factor.conj().T
+            got, out = _kernels.smear_accumulate(mats, wts, factor)
+            assert got.shape == (m_out, m_out)
+            assert out.shape == (m_out, 4 * factor.shape[1])
             expect = sum(w * (d @ rho @ d.conj().T)
                          for w, d in zip(wts, mats))
-            np.testing.assert_allclose(part, expect, atol=1e-13)
-            np.testing.assert_allclose(
-                _kernels.smear_accumulate(mats, wts, rho), expect,
-                atol=1e-13)
+            np.testing.assert_allclose(got, expect, atol=1e-13)
 
 
 def test_povm_grid_values_mirror_batch_against_loop():
     rng = np.random.default_rng(13)
     dim = 11
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
     s_dag = np.linalg.qr(m)[0]
     weights = 0.7 * 0.3 ** np.arange(6)
-    for count in (9, 10):                    # with and without z = 0
-        half = rng.normal(size=count // 2) + 1j * rng.normal(size=count // 2)
-        middle = [0j] if count % 2 else []
-        zs = np.concatenate([half, middle, -half[::-1]])
-        got = _kernels.povm_grid_values(zs, s_dag, rho, weights, 0.42)
-        for k, z in enumerate(zs):
-            cols = _kernels.displacement_columns(z, dim, len(weights))
-            u = s_dag @ cols
-            acc = np.einsum("mn,mk,kn,n->", u.conj(), rho, u, weights).real
-            assert got[k] == pytest.approx(0.42 * acc, rel=1e-12, abs=1e-15)
-
-
-def test_smear_accumulate_stack_matches_single_calls():
-    rng = np.random.default_rng(14)
-    dim = 7
-    zs = rng.normal(size=6) + 1j * rng.normal(size=6)
-    mats = _kernels.displacement_columns_batch(zs, dim, dim)
-    wts = rng.random(6)
-    stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
-    got = _kernels.smear_accumulate(mats, wts, stack)
-    assert got.shape == (3, dim, dim)
-    for rho, part in zip(stack, got):
-        np.testing.assert_allclose(
-            part, _kernels.smear_accumulate(mats, wts, rho), atol=1e-13)
+    for factor in _factors(rng, dim, (1, 4, dim)):
+        rho = factor @ factor.conj().T
+        for count in (9, 10):                    # with and without z = 0
+            half = (rng.normal(size=count // 2)
+                    + 1j * rng.normal(size=count // 2))
+            middle = [0j] if count % 2 else []
+            zs = np.concatenate([half, middle, -half[::-1]])
+            got = _kernels.povm_grid_values(zs, s_dag, factor, weights, 0.42)
+            for k, z in enumerate(zs):
+                cols = _kernels.displacement_columns(z, dim, len(weights))
+                u = s_dag @ cols
+                acc = np.einsum("mn,mk,kn,n->", u.conj(), rho, u,
+                                weights).real
+                assert got[k] == pytest.approx(0.42 * acc, rel=1e-12,
+                                               abs=1e-15)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import trapezoid
 
 from cvclone import _kernels, fock, gaussian, measurement, network
@@ -120,6 +121,92 @@ def test_completeness_integral():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the thermal sum and "
+                   "the squeezed frame stop at the truncation, so an oblique "
+                   "grid integrates to 1 - q^d")
+def test_completeness_integral_at_an_oblique_angle():
+    # q = 0.669 here, and the grid integrates to 0.998408 = 1 - q^16
+    p = measurement.povm_params(3.0, 0.0, 0.2)
+    xs = np.linspace(-12.0, 12.0, 161)
+    grid = measurement.povm_density_grid(p, xs, xs, fock.vacuum_fock((16,)))
+    total = float(trapezoid(trapezoid(grid, xs, axis=1), xs))
+    assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def _displacement_element(mp, z, m, n):
+    """<m|D(z)|n> from the associated Laguerre closed form, in mpmath."""
+    x = abs(z) ** 2
+    if m < n:
+        return (-1) ** (m + n) * mp.conj(_displacement_element(mp, z, n, m))
+    return (mp.sqrt(mp.factorial(n) / mp.factorial(m)) * z ** (m - n)
+            * mp.exp(-x / 2) * mp.laguerre(n, m - n, x))
+
+
+def test_tiny_densities_match_high_precision_reference():
+    # the six smallest densities of `cvclone povm --truncation 32 --lambda 8
+    # --phi 0 --theta 1.5707963 --alpha 1,0.5 --grid 81,5.0`, near 1e-29,
+    # against 40 digits with the same squeezer and probe: the factor form
+    # measured 1.4e-10 to 4.9e-10, the density-matrix form 2.9e-5 to 2.1e-4
+    mp = pytest.importorskip("mpmath")
+    p = measurement.povm_params(8.0, 0.0, 1.5707963)
+    dim = 32
+    probe = fock.coherent_fock(1 + 0.5j, dim)
+    xs = np.linspace(-5.0, 5.0, 81)
+    grid = measurement.povm_density_grid(p, xs, xs, probe)
+    weights = measurement._thermal_weights(p, dim)
+    s_dag = measurement._squeeze_dag(p.xi, dim)
+    with mp.workdps(40):
+        amps = [mp.mpc(complex(a)) for a in probe.amplitudes]
+        rows = [mp.fsum(mp.conj(amps[a]) * mp.mpc(complex(s_dag[a, b]))
+                        for a in range(dim)) for b in range(dim)]
+        for flat in np.argsort(grid, axis=None)[:6]:
+            i, j = divmod(int(flat), len(xs))
+            z = complex(p.alpha_of(xs[i], xs[j]) * p.delta)
+            z = mp.mpc(z.real, z.imag)
+            acc = mp.fsum(
+                float(w) * abs(mp.fsum(rows[m] * _displacement_element(
+                    mp, z, m, n) for m in range(dim))) ** 2
+                for n, w in enumerate(weights))
+            expect = float(p.prefactor) * acc
+            assert expect < 1e-27
+            assert abs(grid[i, j] - expect) <= 1e-8 * expect
+
+
+def _two_pass_mixture(rho, width, grid=41):
+    """A smear of equal widths as two passes over density matrices."""
+    dim = rho.shape[0]
+    wide = math.ceil((math.sqrt(dim) + 1.5 + width) ** 2)
+    nodes, wts = hermgauss(grid)
+    steps = width * nodes / math.sqrt(2.0)
+    up = _kernels.displacement_columns_batch(1j * steps, wide, dim)
+    inner = np.einsum("k,kmn,np,kqp->mq", wts, up, rho, up.conj())
+    down = _kernels.displacement_columns_batch(-steps, wide, dim)
+    mix = np.einsum("k,knm,np,kpq->mq", wts / math.pi, down, inner,
+                    down.conj())
+    return mix / np.trace(mix).real
+
+
+@pytest.mark.parametrize("dim,rank,width", [
+    (8, 1, 0.5), (8, 2, 0.5), (8, 8, 0.5), (16, 2, 1.0), (16, 16, 1.0)])
+def test_mixed_inputs_match_density_matrix_formulas(dim, rank, width):
+    # rank-2 and full-rank inputs, and a pure one at d = 8, whose 24-level
+    # ladder is shorter than the 41 columns of its pass-1 factor
+    rng = np.random.default_rng(dim + rank)
+    m = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m *= 0.35 ** np.arange(dim)[:, None]       # keeps the smear inside d
+    rho = m @ m.conj().T
+    state = fock.DensityMatrix(rho / np.trace(rho).real)
+    mix = fock.smeared_mixture(state, {"width": width}).matrix
+    expect = _two_pass_mixture(state.matrix, width)
+    assert np.abs(mix - expect).max() < 1e-13
+    p = measurement.povm_params(3.0, 0.0, 1.2)
+    for xs, xps in ((np.linspace(-3.0, 3.0, 13), np.linspace(-3.0, 3.0, 13)),
+                    (np.linspace(-3.0, 2.0, 7), np.linspace(-1.0, 3.0, 5))):
+        got = measurement.povm_density_grid(p, xs, xps, state)
+        expect = _density_loop(p, xs, xps, state.matrix)
+        assert np.abs(got - expect).max() < 1e-13
+
+
 def test_density_symmetry_for_vacuum_input():
     p = _params3()
     xs = np.linspace(-3.0, 3.0, 11)
@@ -127,9 +214,14 @@ def test_density_symmetry_for_vacuum_input():
     np.testing.assert_allclose(g, g[::-1, ::-1], atol=1e-14)
 
 
-def _density_loop(params, xs, xps, vec):
-    """Tr[rho F] point by point from single displacement columns."""
-    rho = np.outer(vec.amplitudes, vec.amplitudes.conj())
+def _density_loop(params, xs, xps, state):
+    """Tr[rho F] point by point from single displacement columns.
+
+    ``state`` is a FockVector or a density matrix as an array.
+    """
+    rho = state
+    if isinstance(state, fock.FockVector):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
     dim = rho.shape[0]
     weights = measurement._thermal_weights(params, dim)
     s_dag = measurement._squeeze_dag(params.xi, dim)
