@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, fock, gaussian, measurement, network
+from .errors import TruncationOverflowError, TruncationWarning
 from .fock import TWIN_BEAM_SQUEEZE
 
 # Photon levels next to the truncation edge excluded from operator assertions.
@@ -356,7 +357,12 @@ def _check_gains():
 # -------------------------------------------------------------------- runner
 
 def run_all(truncation: int = 25, seed: int = 1234) -> list:
-    """Run every check; returns CheckResult entries in a fixed order."""
+    """Run every check; returns CheckResult entries in a fixed order.
+
+    A check that overflows its truncation (TruncationOverflowError, or a
+    TruncationWarning raised as an error) fails; any other exception is a
+    bug, re-raised as a RuntimeError that names the check.
+    """
     network.check_truncation(truncation)
     plan = [
         ("commutator-algebra", _check_commutators, (truncation,), None),
@@ -383,9 +389,12 @@ def run_all(truncation: int = 25, seed: int = 1234) -> list:
         start = time.perf_counter()
         try:
             status, detail = fn(*args)
-        except Exception as exc:
+        except (TruncationOverflowError, TruncationWarning) as exc:
             status = "fail"
             detail = f"raised {type(exc).__name__}: {exc}"
+        except Exception as exc:
+            raise RuntimeError(f"check {name} raised "
+                               f"{type(exc).__name__}: {exc}") from exc
         results.append(CheckResult(name, status, detail,
                                    time.perf_counter() - start))
     return results

@@ -6,7 +6,7 @@ byte-identical output. Exit codes: 0 success, 1 check failure, 2 invalid
 configuration (including a truncation too small for the requested run or its
 coherent input, whose message says what to raise), 3 I/O problem, 4 internal
 error (an unexpected exception, reported on one stderr line instead of a
-traceback).
+traceback; ``verify`` names the check that raised it).
 
 Each option is declared once, in ``_OPTIONS``. Settings are its defaults
 (truncation 25 for ``verify``), then a ``--config`` file of ``key = value``

@@ -5,11 +5,11 @@ operators are the two-mode gate generators, the pair squeezer or the splitter
 on one pair of modes: ``pair_generator`` builds each as a real (float64) DIA
 matrix of two diagonals from the mode-major index and caches it, and
 ``build_generator`` names the three network gates among them. Around them sit
-two exponentials, a dense scaling-and-squaring one for the single-mode
-squeezer (``squeeze_matrix``) and the action of a generator's exponential on
-a state (``expm_apply``), which network evolution applies factor by factor,
-then reduced density matrices and the displaced-mixture integral. This module
-is the ground truth the symplectic backend is checked against.
+one exponential, the action of a generator's exponential on a state
+(``expm_apply``), which network evolution applies factor by factor and
+``squeeze_matrix`` applies to the identity for the dense single-mode
+squeezer, then reduced density matrices and the displaced-mixture integral.
+This module is the ground truth the symplectic backend is checked against.
 
 ``expm_apply`` sums the Chebyshev expansion of exp(G) v (Tal-Ezer & Kosloff
 1984). G must be anti-Hermitian, which every truncated bilinear generator is
@@ -252,38 +252,18 @@ def build_generator(kind: str, dims):
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _expm_dense(mat: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a Taylor core.
-
-    The generators exponentiated here are anti-Hermitian, hence normal, so an
-    eigendecomposition would serve as well; the Taylor core keeps
-    scipy.linalg out of the module-level imports.
-    """
-    norm = float(np.abs(mat).sum(axis=0).max())
-    s = max(0, int(math.ceil(math.log2(norm)))) if norm > 1.0 else 0
-    m = mat / (2.0 ** s)
-    dim = mat.shape[0]
-    out = np.eye(dim, dtype=np.complex128)
-    term = np.eye(dim, dtype=np.complex128)
-    for k in range(1, 40):
-        term = term @ m / k
-        out += term
-        if np.abs(term).max() <= 1e-17 * max(1.0, np.abs(out).max()):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
 def squeeze_matrix(xi: complex, dim: int) -> np.ndarray:
     """Single-mode squeezer S(xi) = exp((xi a^dag^2 - conj(xi) a^2)/2).
 
-    Built on ``dim`` levels; the outcome operators of ``measurement`` and the
-    general-width preparation both use this convention.
+    The exponential of the generator truncated to ``dim`` levels, a unitary
+    on them; the outcome operators of ``measurement`` and the general-width
+    preparation both use this convention. The generator's two diagonals are
+    built from one weight array, so that it is exactly anti-Hermitian.
     """
-    a = annihilation_matrix(dim).astype(np.complex128)
-    gen = 0.5 * (xi * a.conj().T @ a.conj().T - np.conj(xi) * a @ a)
-    return _expm_dense(gen)
+    (dim,) = _mode_dims((dim,))
+    w = 0.5 * np.sqrt(np.arange(1.0, dim - 1) * np.arange(2.0, dim))
+    gen = np.diag(xi * w, -2) - np.diag(np.conj(xi) * w, 2)
+    return expm_apply(gen, np.eye(dim))
 
 
 def _chebyshev_coefficients(rho: float) -> np.ndarray:
@@ -326,13 +306,16 @@ def _full_width(dia) -> np.ndarray:
 
 
 def _is_anti_hermitian(mat) -> bool:
-    """Whether the DIA matrix mat == -mat^H exactly, diagonal by diagonal.
+    """Whether a square dense or DIA matrix mat == -mat^H exactly.
 
-    Column c of offset k holds mat[c - k, c], which must be minus the
-    conjugate of column c - k of offset -k.
+    A DIA matrix is compared diagonal by diagonal: column c of offset k
+    holds mat[c - k, c], which must be minus the conjugate of column c - k
+    of offset -k.
     """
-    if mat.shape[0] != mat.shape[1]:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
+    if isinstance(mat, np.ndarray):
+        return np.array_equal(mat, -mat.conj().T)
     n = mat.shape[0]
     rows = dict(zip(mat.offsets.tolist(), _full_width(mat)))
     zero = np.zeros(n, mat.dtype)
@@ -347,12 +330,13 @@ def _is_anti_hermitian(mat) -> bool:
 def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
     """exp(mat) @ vec for an anti-Hermitian mat.
 
-    ``mat`` is worked on as a DIA matrix, the form of every generator from
-    ``pair_generator``; dense and other sparse input is converted once.
-    ``vec`` is one vector (n,) or a block of columns (n, k); the result has
-    the promoted dtype of ``mat`` and ``vec`` (at least float64), so a real
-    generator on a real vector runs in real arithmetic. A matrix that is not
-    square and exactly anti-Hermitian raises InvalidArgumentError: the
+    A dense ``ndarray`` stays dense, and needs no scipy: ``squeeze_matrix``
+    passes one. Other input is worked on as a DIA matrix, the form of every
+    generator from ``pair_generator``; other sparse formats are converted
+    once. ``vec`` is one vector (n,) or a block of columns (n, k); the result
+    has the promoted dtype of ``mat`` and ``vec`` (at least float64), so a
+    real generator on a real vector runs in real arithmetic. A matrix that is
+    not square and exactly anti-Hermitian raises InvalidArgumentError: the
     expansion below holds only on the imaginary axis.
 
     The method is the Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem.
@@ -366,18 +350,20 @@ def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
     the sum where 2 sum_{k >= K} |J_k(rho)| < 2^-53 bounds the error by
     2^-53 ||v||_2. The cut is fixed before the loop, from rho alone.
     """
-    import scipy.sparse as sp
+    dense = isinstance(mat, np.ndarray)
+    if not dense:
+        import scipy.sparse as sp
 
-    mat = sp.dia_matrix(mat)
-    v = np.asarray(vec)
-    dtype = np.result_type(v.dtype, mat.dtype, np.float64)
+        mat = sp.dia_matrix(mat)
     if not _is_anti_hermitian(mat):
         raise InvalidArgumentError(
             "expm_apply needs an anti-Hermitian generator")
+    v = np.asarray(vec)
+    dtype = np.result_type(v.dtype, mat.dtype, np.float64)
     if mat.dtype != dtype:
         mat = mat.astype(dtype)
     u_prev = np.array(v, dtype=dtype)
-    rho = float(np.abs(_full_width(mat)).sum(axis=0).max())
+    rho = float(np.abs(mat if dense else _full_width(mat)).sum(axis=0).max())
     if rho == 0.0:
         return u_prev
     coef = _chebyshev_coefficients(rho)

@@ -21,6 +21,10 @@ the design notes.
 
 The squeeze operator convention, also oracle-pinned, is
 S(xi) = exp((xi c^dag^2 - conj(xi) c^2)/2), built by ``fock.squeeze_matrix``.
+The frame uses that d-level unitary on purpose: on a 241 x 241 grid on
+[-12, 12]^2 at theta - phi = 0.2 (lam = 3, d = 16; lam = 0.5, d = 8) the
+grid integrates to within 2e-15 of 1 - q^d, where d x d blocks of the exact
+squeezer, which are not unitary, lose 1.2e-2 to 0.48 more.
 """
 
 from __future__ import annotations

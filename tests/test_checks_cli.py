@@ -16,7 +16,8 @@ import scipy.sparse as sp
 
 import cvclone
 from cvclone import checks, cli, fock, network
-from cvclone.errors import TruncationWarning
+from cvclone.errors import (InvalidArgumentError, TruncationOverflowError,
+                            TruncationWarning)
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -236,7 +237,6 @@ def test_nan_residuals_fail_their_checks(monkeypatch):
 
 
 def test_run_all_truncation_bounds():
-    from cvclone.errors import InvalidArgumentError
     with pytest.raises(InvalidArgumentError):
         checks.run_all(truncation=7)
     with pytest.raises(InvalidArgumentError):
@@ -521,6 +521,38 @@ def test_verify_fails_on_wrong_gains(skewed_gains, capsys):
     line = next(l for l in text.split("\n")
                 if l.startswith("gains-consistency"))
     assert "FAIL" in line
+
+
+def _raising(exc):
+    def check(*args):
+        raise exc
+    return check
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"),
+                                 InvalidArgumentError("boom")])
+def test_verify_reports_a_raising_check_as_an_internal_error(
+        monkeypatch, capsys, exc):
+    # a bug inside a check is neither a failed check nor a bad configuration
+    monkeypatch.setattr(checks, "_check_gains", _raising(exc))
+    code = cli.main(["verify", "--truncation", "8"])
+    assert code == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert "verification" not in out
+    assert err == (f"internal error: RuntimeError: check gains-consistency "
+                   f"raised {type(exc).__name__}: boom\n")
+
+
+def test_verify_fails_a_check_that_overflows_its_truncation(monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(checks, "_check_unitarity",
+                        _raising(TruncationOverflowError("leaked")))
+    code = cli.main(["verify", "--truncation", "8"])
+    assert code == cli.EXIT_CHECK_FAILED == 1
+    text = capsys.readouterr().out
+    assert "verification FAILED" in text
+    line = next(l for l in text.split("\n") if l.startswith("unitarity"))
+    assert "FAIL" in line and "raised TruncationOverflowError: leaked" in line
 
 
 def _child_env():

@@ -166,11 +166,28 @@ def test_generators_are_anti_hermitian():
         assert np.abs(g + g.conj().T).max() == 0.0
 
 
-def test_expm_dense_against_scipy():
-    # the scaling-and-squaring core behind squeeze_matrix
-    g = 0.3 * fock.build_generator("C", (6, 6, 6)).toarray()
-    mine = fock._expm_dense(g.astype(np.complex128))
-    np.testing.assert_allclose(mine, scipy_expm(g), atol=1e-12)
+def _squeeze_generator(xi, d):
+    """(xi a^dag^2 - conj(xi) a^2) / 2 on d levels, entry by entry."""
+    gen = np.zeros((d, d), np.complex128)
+    for n in range(d - 2):
+        w = 0.5 * math.sqrt((n + 1) * (n + 2))
+        gen[n + 2, n] = xi * w
+        gen[n, n + 2] = -np.conj(xi) * w
+    return gen
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+@pytest.mark.parametrize("xi", [1e-7, 0.3, 0.9 * np.exp(0.4j), math.log(4.0),
+                                1.5 * np.exp(2j)],
+                         ids=["1e-7", "0.3", "0.9e^0.4i", "ln4", "1.5e^2i"])
+def test_squeeze_matrix_against_scipy(d, xi):
+    got = fock.squeeze_matrix(xi, d)
+    np.testing.assert_allclose(got, scipy_expm(_squeeze_generator(xi, d)),
+                               rtol=0, atol=5e-15)
+    # unitary to a few ulps: a dense Taylor scaling-and-squaring misses this
+    # bound, by 3.9e-15 to 1.9e-14 at d = 32 for xi >= 0.3
+    unitarity = np.abs(got.conj().T @ got - np.eye(d)).max()
+    assert unitarity < 3e-15
 
 
 def test_expm_apply_against_dense():
@@ -331,9 +348,15 @@ def test_expm_apply_refuses_non_anti_hermitian_generators():
     upper = sp.dia_matrix((gen.data[:1], gen.offsets[:1]), shape=gen.shape)
     # gen on 130 levels, the last five idle: DIA data narrower than the matrix
     narrow = sp.dia_matrix((gen.data, gen.offsets), shape=(130, 130))
+    a = fock.annihilation_matrix(16).astype(np.complex128)
     for mat in (abs(gen), 1j * gen, upper, gen + sp.identity(125),
                 abs(gen).tocsr(), abs(gen.toarray()), abs(narrow),
-                np.array([[0.0, 1.0], [-1.0, 1e-300]])):
+                np.array([[0.0, 1.0], [-1.0, 1e-300]]),
+                # dense input: not 2-D, not square, and the squeezer's
+                # generator as a product of lowering matrices, whose two
+                # diagonals differ in their last bit
+                1j * np.arange(1.0, 4.0), np.zeros((3, 4)),
+                0.5 * ((0.3 + 0.4j) * a.T @ a.T - (0.3 - 0.4j) * a @ a)):
         with pytest.raises(InvalidArgumentError, match="anti-Hermitian"):
             fock.expm_apply(mat, np.ones(mat.shape[0]))
     # the same generator in other storage passes and agrees to rounding

@@ -133,6 +133,22 @@ def test_completeness_integral_at_an_oblique_angle():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("lam, dim, alpha", [(3.0, 16, 0j),
+                                              (3.0, 16, 1 + 0.5j),
+                                              (0.5, 8, 1 + 0.5j)])
+def test_oblique_grid_keeps_all_but_the_dropped_thermal_mass(lam, dim, alpha):
+    # the d-level unitary frame loses exactly q^d at theta - phi = 0.2 (up
+    # to 1.8e-15 measured); a frame of exact squeezer elements on d levels
+    # lost 1.2e-2 to 0.48 more here. Complete densities (ROADMAP item 5)
+    # keep this bound.
+    p = measurement.povm_params(lam, 0.0, 0.2)
+    xs = np.linspace(-12.0, 12.0, 241)
+    grid = measurement.povm_density_grid(p, xs, xs,
+                                         fock.coherent_fock(alpha, dim))
+    total = float(trapezoid(trapezoid(grid, xs, axis=1), xs))
+    assert total >= 1.0 - p.thermal_base ** dim - 1e-12
+
+
 def _displacement_element(mp, z, m, n):
     """<m|D(z)|n> from the associated Laguerre closed form, in mpmath."""
     x = abs(z) ** 2
