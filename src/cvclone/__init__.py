@@ -11,16 +11,15 @@ from .errors import (DomainError, GridTooCoarseError, InvalidArgumentError,
                      TruncationOverflowError, TruncationWarning)
 from .fock import (DensityMatrix, FockVector, annihilation_matrix,
                    apply_network_fock, build_generator, coherent_fock,
-                   projector_form_check, reduced_density, smeared_mixture,
-                   tensor, trace_distance, vacuum_fock)
+                   reduced_density, smeared_mixture, tensor, trace_distance,
+                   vacuum_fock)
 from .gaussian import (GaussianState, SymplecticTransform, beam_splitter,
-                       displace, fidelity_with_coherent, husimi_q,
-                       quadrature_moments, reduce, two_mode_squeezer,
-                       vacuum_state)
+                       displace, fidelity_with_coherent, quadrature_moments,
+                       reduce, two_mode_squeezer, vacuum_state)
 from .measurement import (MomentReport, PovmParams, expected_moments,
                           husimi_limit_check, povm_density, povm_density_grid,
-                          povm_params, sample_joint_quadratures,
-                          sigma_variant_report)
+                          povm_params, projector_form_check,
+                          sample_joint_quadratures, sigma_variant_report)
 from .network import (CloneResult, CloningNetworkSpec, gains,
                       network_from_lambda, preparation_state, run_cloner)
 
@@ -32,14 +31,15 @@ __all__ = [
     "TruncationOverflowError", "TruncationWarning",
     "DensityMatrix", "FockVector", "annihilation_matrix",
     "apply_network_fock", "build_generator", "coherent_fock",
-    "projector_form_check", "reduced_density", "smeared_mixture", "tensor",
-    "trace_distance", "vacuum_fock",
+    "reduced_density", "smeared_mixture", "tensor", "trace_distance",
+    "vacuum_fock",
     "GaussianState", "SymplecticTransform", "beam_splitter", "displace",
-    "fidelity_with_coherent", "husimi_q", "quadrature_moments", "reduce",
+    "fidelity_with_coherent", "quadrature_moments", "reduce",
     "two_mode_squeezer", "vacuum_state",
     "MomentReport", "PovmParams", "expected_moments", "husimi_limit_check",
     "povm_density", "povm_density_grid", "povm_params",
-    "sample_joint_quadratures", "sigma_variant_report",
+    "projector_form_check", "sample_joint_quadratures",
+    "sigma_variant_report",
     "CloneResult", "CloningNetworkSpec", "gains", "network_from_lambda",
     "preparation_state", "run_cloner",
     "__version__",

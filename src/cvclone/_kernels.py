@@ -136,13 +136,3 @@ def smear_accumulate(disp_mats, weights, factor):
     out = out.reshape(m_out, -1)
     return out @ out.conj().T, out
 
-
-def displacement_columns(z, dim, ncols):
-    """<m|D(z)|n> as a (dim, ncols) matrix for a single z."""
-    return displacement_columns_batch(np.array([z], np.complex128),
-                                      dim, ncols)[0]
-
-
-def displacement_matrix(z, dim):
-    """Full dim x dim truncated displacement operator D(z)."""
-    return displacement_columns(z, dim, dim)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels, fock, gaussian, measurement, network
 from .errors import TruncationOverflowError, TruncationWarning
-from .fock import TWIN_BEAM_SQUEEZE
+from .network import TWIN_BEAM_SQUEEZE
 
 # Photon levels next to the truncation edge excluded from operator assertions.
 GUARD_BAND = 4
@@ -307,7 +307,8 @@ def _check_weyl_covariance(truncation: int, seed: int):
     for _ in range(5):
         alpha = complex(rng.uniform(-0.49, 0.49), rng.uniform(-0.49, 0.49))
         moved = network.run_cloner(alpha, spec, backend="fock", truncation=d)
-        disp = _kernels.displacement_matrix(gain_amp * alpha, d)
+        disp = _kernels.displacement_columns_batch(
+            np.array([gain_amp * alpha]), d, d)[0]
         shifted = disp @ base.clone_c.matrix @ disp.conj().T
         worst = float(np.maximum(
             worst, fock.trace_distance(moved.clone_c, shifted)))

@@ -10,6 +10,8 @@ one exponential, the action of a generator's exponential on a state
 ``squeeze_matrix`` applies to the identity for the dense single-mode
 squeezer, then reduced density matrices and the displaced-mixture integral.
 This module is the ground truth the symplectic backend is checked against.
+It imports nothing from ``network``, whose stages ``apply_network_fock`` is
+handed; the network's limit-form checks live in ``measurement``.
 
 ``expm_apply`` sums the Chebyshev expansion of exp(G) v (Tal-Ezer & Kosloff
 1984). G must be anti-Hermitian, which every truncated bilinear generator is
@@ -57,8 +59,6 @@ from .gaussian import _trusted
 _LEAK_WARN = 1e-3
 _LEAK_FAIL = 1e-2
 _GUARD_LEVELS = 2                   # top levels of each mode in the guard band
-
-TWIN_BEAM_SQUEEZE = math.atanh(1.0 / 3.0)
 
 
 # ------------------------------------------------------------------- vectors
@@ -473,9 +473,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def photon_number(self) -> float:
         return float((np.arange(self.dim) * np.diag(self.matrix).real).sum())
 
@@ -629,35 +626,3 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     mix /= tr
     return _trusted(DensityMatrix, matrix=0.5 * (mix + mix.conj().T))
 
-
-# ------------------------------------------------------- projector-form limit
-
-def projector_form_check(phi: FockVector, lam: float) -> float:
-    """Distance between the two-clone state and its projector limit form.
-
-    Builds (1/2) P (|phi><phi| ⊗ I) P with P the vacuum projector conjugated
-    by the balanced rotation of the clone pair, normalizes it, and returns its
-    trace distance from the ancilla-traced network output.
-    """
-    if phi.n_modes != 1:
-        raise InvalidArgumentError("phi must be single-mode")
-    if lam < 3.0:
-        raise InvalidArgumentError("limit form needs lam >= 3")
-    from . import network
-
-    d = phi.dims[0]
-    out = network.run_cloner(phi, network.network_from_lambda(lam),
-                             backend="fock", truncation=d).state
-    t = out.amplitudes.reshape(d, d, d)
-    rho_ca = np.einsum("ijb,klb->ijkl", t, t.conj()).reshape(d * d, d * d)
-    rho_ca /= np.trace(rho_ca).real
-
-    # the columns of the rotation with c in vacuum span the projector's range
-    gen = pair_generator("splitter", (d, d), 0, 1)
-    w = expm_apply((math.pi / 4.0) * gen,
-                   np.eye(d * d, dtype=np.complex128)[:, :d])
-    proj = w @ w.conj().T
-    kern = np.kron(np.outer(phi.amplitudes, phi.amplitudes.conj()), np.eye(d))
-    target = 0.5 * (proj @ kern @ proj)
-    target /= np.trace(target).real
-    return trace_distance(rho_ca, target)

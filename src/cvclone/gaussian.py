@@ -16,10 +16,10 @@ see tests):
 Input is checked once, where it enters: gates check their modes and strength,
 states their shapes, finiteness and symmetry, and ``SymplecticTransform(
 matrix)`` a caller's matrix. ``_trusted`` wraps what is computed from checked
-input with no second check: closed-form gates and their products and inverses,
-symplectic by construction (a product's S Omega S^T roundoff reflects factors
-it no longer shows), and transformed states and their marginals. ``apply``
-and ``compose`` refuse a product that overflows float64.
+input with no second check: closed-form gates and their products, symplectic
+by construction (a product's S Omega S^T roundoff reflects factors it no
+longer shows), and transformed states and their marginals. ``apply`` and
+``compose`` refuse a product that overflows float64.
 """
 
 from __future__ import annotations
@@ -141,11 +141,6 @@ class SymplecticTransform:
             raise InvalidArgumentError("transform product overflows") from None
         return _trusted(SymplecticTransform, matrix=matrix)
 
-    def inverse(self) -> "SymplecticTransform":
-        omega = symplectic_form(self.n_modes)
-        inv = -omega @ self.matrix.T @ omega
-        return _trusted(SymplecticTransform, matrix=inv)
-
 
 def _check_mode(n_modes: int, mode: int) -> int:
     if not 0 <= mode < n_modes:
@@ -231,22 +226,13 @@ def quadrature_moments(state: GaussianState, mode: int, phase: float):
     return mean, var
 
 
-def _overlap_core(state: GaussianState, z: complex, name: str) -> float:
-    # det/quadratic form of (cov + I/4) against the phase-space point z
+def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:
+    """<alpha| rho |alpha>, pi times the Husimi Q, for a single-mode rho."""
     if state.n_modes != 1:
-        raise InvalidArgumentError(f"{name} needs a single mode")
+        raise InvalidArgumentError("fidelity_with_coherent needs a single mode")
+    # det/quadratic form of (cov + I/4) against the phase-space point alpha
     m = state.cov + np.eye(2) / 4.0
-    delta = state.mean - np.array([np.real(z), np.imag(z)])
+    delta = state.mean - np.array([np.real(alpha), np.imag(alpha)])
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     quad = delta @ np.linalg.solve(m, delta)
-    return math.exp(-0.5 * quad) / math.sqrt(det)
-
-
-def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:
-    """<alpha| rho |alpha> for a single-mode Gaussian rho."""
-    return 0.5 * _overlap_core(state, alpha, "fidelity_with_coherent")
-
-
-def husimi_q(state: GaussianState, z: complex) -> float:
-    """(1/pi) <z| rho |z>; integrates to 1 over the complex plane."""
-    return _overlap_core(state, z, "husimi_q") / (2.0 * math.pi)
+    return 0.5 * (math.exp(-0.5 * quad) / math.sqrt(det))

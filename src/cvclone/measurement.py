@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, fock, gaussian, network
 from .errors import DomainError, InvalidArgumentError
-
-TWIN_BEAM_SQUEEZE = fock.TWIN_BEAM_SQUEEZE
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def povm_params(lam: float, phi: float, theta: float) -> PovmParams:
     if not 0.0 < theta - phi < math.pi:
         raise InvalidArgumentError("need 0 < theta - phi < pi")
     eps = -2.0 * math.exp(-lam)
-    lamp = lam - TWIN_BEAM_SQUEEZE
+    lamp = lam - network.TWIN_BEAM_SQUEEZE
     sh_e, ch_e = math.sinh(eps), math.cosh(eps)
     sh_lp, ch_lp = math.sinh(lamp), math.cosh(lamp)
     sh_l, ch_l = math.sinh(lam), math.cosh(lam)
@@ -179,7 +178,7 @@ def clone_a_coefficient_rows(lam: float):
     """
     if not 0.0 < lam < math.inf:        # no coupling cap here; NaN fails too
         raise InvalidArgumentError("lam must be positive and finite")
-    t0 = TWIN_BEAM_SQUEEZE
+    t0 = network.TWIN_BEAM_SQUEEZE
     sh_u = math.sinh(math.exp(-lam))
     ch_u = math.cosh(math.exp(-lam))
     r = 2.0 * math.sinh(lam) * sh_u * ch_u
@@ -197,14 +196,16 @@ def expected_moments(lam: float, input_moments) -> MomentReport:
     simulation; variances and added noises are convention-independent.
     """
     network.check_lambda(lam)
-    mx, my, x2, y2 = (float(t) for t in input_moments)
+    mx, my, x2, y2 = moments = tuple(float(t) for t in input_moments)
+    if not all(map(math.isfinite, moments)):
+        raise InvalidArgumentError("input moments must be finite")
     var_x, var_y = x2 - mx * mx, y2 - my * my
     if var_x < -1e-12 or var_y < -1e-12:
         raise InvalidArgumentError("second moments below squared means")
     if var_x * var_y < 1.0 / 16.0 - 1e-9:
         raise InvalidArgumentError("input moments violate the uncertainty bound")
     eps = -2.0 * math.exp(-lam)
-    lamp = lam - TWIN_BEAM_SQUEEZE
+    lamp = lam - network.TWIN_BEAM_SQUEEZE
     sh_e, ch_e = math.sinh(eps), math.cosh(eps)
     sh_lp = math.sinh(lamp)
     r, p, q = clone_a_coefficient_rows(lam)
@@ -230,6 +231,10 @@ def sample_joint_quadratures(result: network.CloneResult, phi: float,
         raise InvalidArgumentError(
             "sampling needs a gaussian-backend result; compare Fock runs "
             "through povm_density instead")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidArgumentError(f"n must be an integer, not {n!r}") from None
     if n < 1:
         raise InvalidArgumentError("need at least one sample")
     state = result.state
@@ -242,23 +247,23 @@ def sample_joint_quadratures(result: network.CloneResult, phi: float,
                     [eu @ state.cov @ ev, ev @ state.cov @ ev]])
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
-    return mean + rng.standard_normal((int(n), 2)) @ chol.T
+    return mean + rng.standard_normal((n, 2)) @ chol.T
 
 
-def husimi_limit_check(alpha: complex, lam: float, n: int = 100_000,
-                       seed: int = 7) -> float:
+def husimi_limit_check(alpha: complex, lam: float) -> float:
     """Max moment gap between rescaled joint outcomes and the input Husimi Q.
 
     In the large-lam limit the outcome pair (X on c, Y on a) distributes like
     the Husimi function of the input: mean (Re alpha, Im alpha), variance 1/2
     per axis, no correlation. Returns the largest absolute discrepancy over
-    those five moments.
+    those five moments, estimated from 100 000 draws with seed 7.
     """
     if lam < 4.0:
         raise InvalidArgumentError("husimi comparison needs lam >= 4")
     spec = network.network_from_lambda(lam)
     result = network.run_cloner(complex(alpha), spec, backend="gaussian")
-    samples = sample_joint_quadratures(result, 0.0, math.pi / 2.0, n, seed)
+    samples = sample_joint_quadratures(result, 0.0, math.pi / 2.0,
+                                       100_000, 7)
     emp_mean = samples.mean(axis=0)
     centered = samples - emp_mean
     emp_cov = (centered.T @ centered) / samples.shape[0]
@@ -271,21 +276,20 @@ def husimi_limit_check(alpha: complex, lam: float, n: int = 100_000,
     return float(max(gaps))
 
 
-def sigma_variant_report(sigma: float, lam: float, truncation: int = 18):
+def sigma_variant_report(sigma: float, lam: float):
     """Measured added noise at the sigma-matched angles.
 
     Returns (angle, report): angle = arctan(sigma^2); the report carries the
     added noise of X(angle) on clone c and X(-angle) on clone a for a vacuum
     input (both equal sigma^2 / (2 (1 + sigma^4)) in the large-lam limit),
-    plus the trace distance between the clones.
+    plus the trace distance between the clones; the Fock run has 18 levels.
     """
     network.check_sigma(sigma)
     if lam > 6.0:
         raise InvalidArgumentError("Fock-based preparation is capped at lam=6")
     angle = math.atan(sigma * sigma)
     spec = network.network_from_lambda(lam, sigma)
-    result = network.run_cloner(0j, spec, backend="fock",
-                                truncation=truncation)
+    result = network.run_cloner(0j, spec, backend="fock", truncation=18)
     _, var_c = result.clone_c.quadrature_moments(angle)
     _, var_a = result.clone_a.quadrature_moments(-angle)
     report = {
@@ -297,3 +301,32 @@ def sigma_variant_report(sigma: float, lam: float, truncation: int = 18):
                                                     result.clone_a),
     }
     return angle, report
+
+
+def projector_form_check(phi: fock.FockVector, lam: float) -> float:
+    """Distance between the two-clone state and its projector limit form.
+
+    Builds (1/2) P (|phi><phi| ⊗ I) P with P the vacuum projector conjugated
+    by the balanced rotation of the clone pair, normalizes it, and returns its
+    trace distance from the ancilla-traced network output.
+    """
+    if phi.n_modes != 1:
+        raise InvalidArgumentError("phi must be single-mode")
+    if lam < 3.0:
+        raise InvalidArgumentError("limit form needs lam >= 3")
+    d = phi.dims[0]
+    out = network.run_cloner(phi, network.network_from_lambda(lam),
+                             backend="fock", truncation=d).state
+    t = out.amplitudes.reshape(d, d, d)
+    rho_ca = np.einsum("ijb,klb->ijkl", t, t.conj()).reshape(d * d, d * d)
+    rho_ca /= np.trace(rho_ca).real
+
+    # the columns of the rotation with c in vacuum span the projector's range
+    gen = fock.pair_generator("splitter", (d, d), 0, 1)
+    w = fock.expm_apply((math.pi / 4.0) * gen,
+                        np.eye(d * d, dtype=np.complex128)[:, :d])
+    proj = w @ w.conj().T
+    kern = np.kron(np.outer(phi.amplitudes, phi.amplitudes.conj()), np.eye(d))
+    target = 0.5 * (proj @ kern @ proj)
+    target /= np.trace(target).real
+    return fock.trace_distance(rho_ca, target)

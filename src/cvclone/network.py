@@ -33,8 +33,9 @@ import numpy as np
 
 from . import fock, gaussian
 from .errors import InvalidArgumentError
-from .fock import TWIN_BEAM_SQUEEZE
 
+# the twin-beam squeeze atanh(1/3) that stage 1 absorbs at sigma = 1
+TWIN_BEAM_SQUEEZE = math.atanh(1.0 / 3.0)
 LAMBDA_CAP = 12.0
 SIGMA_RANGE = (0.25, 4.0)
 # Fock levels per mode accepted by the CLI and the verification suite.
@@ -116,8 +117,9 @@ def sigma_prep_covariance(sigma: float) -> np.ndarray:
     modes, so it is pure: the X-block eigenvalues are sigma^2/2 and
     sigma^2/8, the Y-block ones their reciprocals over 4, and det(4V) = 1.
     The Fock preparation's measured quadrature moments converge to this
-    matrix as the truncation grows.
+    matrix as the truncation grows. A sigma outside SIGMA_RANGE is refused.
     """
+    check_sigma(sigma)
     s2 = float(sigma) ** 2
     cov = np.zeros((4, 4))
     cov[0, 0] = cov[2, 2] = 5.0 * s2 / 16.0

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from cvclone import checks, fock, gaussian, measurement, network
-from cvclone.fock import TWIN_BEAM_SQUEEZE
+from cvclone.network import TWIN_BEAM_SQUEEZE
 
 RIGHT = math.pi / 2.0
 
@@ -142,7 +142,7 @@ def test_criterion_07_backend_oracle_equivalence(capsys):
 
 
 def test_criterion_08_projector_form(capsys):
-    dist = fock.projector_form_check(fock.coherent_fock(0.5, 16), 6.0)
+    dist = measurement.projector_form_check(fock.coherent_fock(0.5, 16), 6.0)
     ok = dist <= 5e-3
     _report(capsys, 8, ok,
             f"projected-pair form distance {dist:.2e} (tol 5e-3)")

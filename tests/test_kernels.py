@@ -16,6 +16,11 @@ from cvclone import _kernels
 ZS = np.array([0.3 + 0.4j, -1.0 + 0.2j, 0.9j, 1.2 - 0.7j, 1.5 + 1.5j])
 
 
+def _columns(z, dim, ncols):
+    """<m|D(z)|n> as a (dim, ncols) block: a batch of one."""
+    return _kernels.displacement_columns_batch(np.array([z]), dim, ncols)[0]
+
+
 def _dense_displacement(z, dim):
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     return expm(z * a.conj().T - np.conj(z) * a)
@@ -24,7 +29,7 @@ def _dense_displacement(z, dim):
 def test_recurrence_matches_padded_expm():
     for z in ZS:
         dense = _dense_displacement(z, 40)
-        mine = _kernels.displacement_matrix(z, 40)
+        mine = _columns(z, 40, 40)
         assert np.abs(dense[:16, :16] - mine[:16, :16]).max() < 1e-11
 
 
@@ -34,14 +39,14 @@ def test_recurrence_stays_accurate_on_long_ladders():
     for z, rows, ncols in ((3.0 * np.exp(0.7j), 64, 64), (6j, 96, 32),
                            (-6.0, 96, 32), (0.01 + 0.01j, 64, 64)):
         dense = _dense_displacement(z, 260)
-        mine = _kernels.displacement_columns(z, rows, ncols)
+        mine = _columns(z, rows, ncols)
         assert np.abs(dense[:rows, :ncols] - mine).max() < 1e-12
 
 
 def test_first_column_closed_form():
     # <m|D(z)|0> = exp(-|z|^2/2) z^m / sqrt(m!)
     z = 0.7 - 0.5j
-    col = _kernels.displacement_columns(z, 12, 1)[:, 0]
+    col = _columns(z, 12, 1)[:, 0]
     fact = 1.0
     for m in range(12):
         if m:
@@ -53,7 +58,7 @@ def test_first_column_closed_form():
 def test_first_row_closed_form():
     # <0|D(z)|n> = exp(-|z|^2/2) (-conj(z))^n / sqrt(n!)
     z = -0.4 + 0.9j
-    row = _kernels.displacement_columns(z, 1, 10)[0]
+    row = _columns(z, 1, 10)[0]
     fact = 1.0
     for n in range(10):
         if n:
@@ -65,7 +70,7 @@ def test_first_row_closed_form():
 def test_columns_are_near_orthonormal():
     # exact elements of a unitary: column overlaps approach delta_{nn'} as the
     # row cutoff grows; z small keeps the missing tail negligible
-    cols = _kernels.displacement_columns(0.5 + 0.3j, 60, 6)
+    cols = _columns(0.5 + 0.3j, 60, 6)
     gram = cols.conj().T @ cols
     assert np.abs(gram - np.eye(6)).max() < 1e-12
 
@@ -74,7 +79,7 @@ def test_batch_shape_and_consistency():
     batch = _kernels.displacement_columns_batch(ZS, 14, 5)
     assert batch.shape == (len(ZS), 14, 5)
     for k, z in enumerate(ZS):
-        single = _kernels.displacement_columns(z, 14, 5)
+        single = _columns(z, 14, 5)
         np.testing.assert_allclose(batch[k], single, atol=1e-14)
 
 
@@ -134,7 +139,7 @@ def test_povm_grid_values_against_loop():
             got = np.asarray(_kernels.povm_grid_values(zs, s_dag, factor,
                                                        weights, 0.42))
             for k, z in enumerate(zs):
-                cols = _kernels.displacement_columns(z, dim, nth)
+                cols = _columns(z, dim, nth)
                 acc = 0.0
                 for n in range(nth):
                     u = s_dag @ cols[:, n]
@@ -194,7 +199,7 @@ def test_povm_grid_values_mirror_batch_against_loop():
             zs = np.concatenate([half, middle, -half[::-1]])
             got = _kernels.povm_grid_values(zs, s_dag, factor, weights, 0.42)
             for k, z in enumerate(zs):
-                cols = _kernels.displacement_columns(z, dim, len(weights))
+                cols = _columns(z, dim, len(weights))
                 u = s_dag @ cols
                 acc = np.einsum("mn,mk,kn,n->", u.conj(), rho, u,
                                 weights).real

@@ -245,7 +245,9 @@ def _density_loop(params, xs, xps, state):
     for i, x in enumerate(xs):
         for j, xp in enumerate(xps):
             z = params.alpha_of(x, xp) * params.delta
-            u = s_dag @ _kernels.displacement_columns(z, dim, len(weights))
+            cols = _kernels.displacement_columns_batch(np.array([z]), dim,
+                                                       len(weights))[0]
+            u = s_dag @ cols
             out[i, j] = params.prefactor * np.einsum(
                 "mn,mk,kn,n->", u.conj(), rho, u, weights).real
     return out
@@ -388,6 +390,17 @@ def test_expected_moments_validation():
     assert rep.variance_product >= 0.25 - 1e-9
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", range(4))
+def test_expected_moments_refuses_non_finite_moments(slot, bad):
+    # a NaN second moment once came back as var_xc = nan, an inf as inf
+    moments = [0.0, 0.0, 0.25, 0.25]
+    moments[slot] = bad
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
+        measurement.expected_moments(2.0, moments)
+
+
 def test_sampler_is_deterministic():
     res = network.run_cloner(0.6 - 0.4j, network.network_from_lambda(3.0),
                              backend="gaussian")
@@ -419,6 +432,20 @@ def test_sampler_requires_gaussian_result():
                                backend="gaussian")
     with pytest.raises(InvalidArgumentError):
         measurement.sample_joint_quadratures(res_g, 0.0, RIGHT, 0, 1)
+
+
+def test_sampler_refuses_a_non_integral_count():
+    # n = 2.5 once drew two samples
+    res = network.run_cloner(0j, network.network_from_lambda(2.0),
+                             backend="gaussian")
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            measurement.sample_joint_quadratures(res, 0.0, RIGHT, n, 1)
+    with pytest.raises(InvalidArgumentError, match="at least one sample"):
+        measurement.sample_joint_quadratures(res, 0.0, RIGHT, np.int64(0), 1)
+    draws = measurement.sample_joint_quadratures(res, 0.0, RIGHT,
+                                                 np.int64(3), 1)
+    assert draws.shape == (3, 2)
 
 
 def test_husimi_limit_agreement():

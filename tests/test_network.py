@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -115,6 +116,14 @@ def test_general_width_prep_matches_closed_covariance():
     mean, measured = checks._fock_moments(vec.amplitudes, vec.dims)
     assert np.abs(mean).max() < 1e-12
     assert np.abs(measured - cov).max() < 1e-6  # measured 7.4e-8
+
+
+@pytest.mark.parametrize("sigma", [0.0, math.nan, -1.0, 5.0])
+def test_sigma_prep_covariance_refuses_widths_out_of_range(sigma):
+    # sigma = 0 once raised ZeroDivisionError, and NaN gave a NaN covariance
+    with pytest.raises(InvalidArgumentError,
+                       match=re.escape("sigma must lie in [0.25, 4]")):
+        network.sigma_prep_covariance(sigma)
 
 
 def test_general_width_prep_gaussian_branch():

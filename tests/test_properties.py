@@ -116,9 +116,10 @@ def test_added_noise_positive_and_ordered(lam):
        st.floats(min_value=-2.0, max_value=2.0), circuits())
 @settings(max_examples=30, deadline=None)
 def test_husimi_nonnegative(re, im, ops):
+    # the Husimi function of a state at z is <z|rho|z> / pi
     state, _ = _run(ops)
     single = gaussian.reduce(state, [1])
-    assert gaussian.husimi_q(single, complex(re, im)) >= 0.0
+    assert gaussian.fidelity_with_coherent(single, complex(re, im)) >= 0.0
 
 
 @given(lam_st, st.floats(min_value=0.15, max_value=0.85),
