@@ -362,9 +362,11 @@ def run_all(truncation: int = 25, seed: int = 1234) -> list:
 
     A check that overflows its truncation (TruncationOverflowError, or a
     TruncationWarning raised as an error) fails; any other exception is a
-    bug, re-raised as a RuntimeError that names the check.
+    bug, re-raised as a RuntimeError that names the check. A truncation or
+    seed that is not a non-negative integer is refused before any check runs.
     """
     network.check_truncation(truncation)
+    network.check_seed(seed)
     plan = [
         ("commutator-algebra", _check_commutators, (truncation,), None),
         ("bch-identity", _check_bch, (truncation,),

@@ -8,9 +8,11 @@ coherent input, whose message says what to raise), 3 I/O problem, 4 internal
 error (an unexpected exception, reported on one stderr line instead of a
 traceback; ``verify`` names the check that raised it).
 
-Each option is declared once, in ``_OPTIONS``. Settings are its defaults
-(truncation 25 for ``verify``), then a ``--config`` file of ``key = value``
-lines, then the flags; ``network`` checks the lambda, sigma and truncation.
+Each option is declared once, in ``_OPTIONS``; ``_COMMANDS`` names the keys
+each command reads and needs, and its own defaults (truncation 25 for
+``verify``). A command has a flag and a config key for each key it reads and
+no other. Settings are the defaults, then a ``--config`` file of ``key =
+value`` lines, then the flags; ``network`` checks lambda, sigma and truncation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import cmath
 import functools
 import math
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -65,12 +68,16 @@ def _parse_grid(text: str):
         raise InvalidArgumentError(f"bad grid component: {exc}") from exc
 
 
-def _argument_type(parse):
-    """``parse`` as an argparse type that keeps its error message.
+def _parse_backend(text: str) -> str:
+    if text not in ("gaussian", "fock"):
+        raise InvalidArgumentError("backend must be gaussian or fock")
+    return text
 
-    argparse reports a ValueError from a type as "invalid <name> value";
-    an ArgumentTypeError carries its own text, still with exit code 2.
-    """
+
+def _argument_type(parse):
+    """``parse`` as an argparse type that keeps its error message and name:
+    argparse reports a ValueError as "invalid <name> value", exit code 2."""
+    @functools.wraps(parse, updated=())
     def convert(text: str):
         try:
             return parse(text)
@@ -79,38 +86,30 @@ def _argument_type(parse):
     return convert
 
 
-_ALPHA_ARG = _argument_type(_parse_complex)
-_GRID_ARG = _argument_type(_parse_grid)
-
-# config key: (attribute, parser, default); a flag sets the same attribute
+# config key: (attribute, parser, default, metavar, help); its flag is
+# --key with "-" for "_", and it sets the same attribute
 _OPTIONS = {
-    "lambda": ("lam", float, None),
-    "lambda_min": ("lambda_min", float, None),
-    "lambda_max": ("lambda_max", float, None),
-    "steps": ("steps", int, 1),
-    "alpha": ("alpha", _parse_complex, None),
-    "sigma": ("sigma", float, 1.0),
-    "backend": ("backend", str, "gaussian"),
-    "truncation": ("truncation", int, 16),
-    "seed": ("seed", int, 1234),
-    "out": ("out", str, None),
-    "phi": ("phi", float, None),
-    "theta": ("theta", float, None),
-    "grid": ("grid", _parse_grid, None),
-}
-
-_REQUIRED = {
-    "sweep": ((("lambda_min", "lambda_max"),
-               "sweep needs --lambda-min and --lambda-max"),
-              (("alpha",), "sweep needs --alpha RE,IM"),
-              (("out",), "sweep needs --out PATH")),
-    "clone": ((("lam", "alpha"), "clone needs --lambda and --alpha"),),
-    "povm": ((("lam", "phi", "theta"), "povm needs --lambda, --phi and --theta"),
-             (("grid",), "povm needs --grid N,XMAX")),
+    "lambda": ("lam", float, None, None, None),
+    "lambda_min": ("lambda_min", float, None, None, None),
+    "lambda_max": ("lambda_max", float, None, None, None),
+    "steps": ("steps", int, 1, None, None),
+    "alpha": ("alpha", _parse_complex, None, "RE,IM",
+              "input coherent amplitude (povm: 0,0 if unset); write a"
+              " negative real part as --alpha=-0.3,0.6"),
+    "sigma": ("sigma", float, 1.0, None, None),
+    "backend": ("backend", _parse_backend, "gaussian", "{gaussian,fock}",
+                None),
+    "truncation": ("truncation", int, 16, None,
+                   "Fock levels per mode, %d..%d" % network.TRUNCATION_RANGE),
+    "seed": ("seed", int, 1234, None, None),
+    "out": ("out", str, None, None, "output path (povm: stdout if unset)"),
+    "phi": ("phi", float, None, None, None),
+    "theta": ("theta", float, None, None, None),
+    "grid": ("grid", _parse_grid, None, "N,XMAX", None),
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -122,11 +121,11 @@ def _load_config_file(path: str) -> dict:
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _OPTIONS:
-                raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
-            field, parse, _ = _OPTIONS[key]
+            if key not in _COMMANDS[command].reads:
+                raise InvalidArgumentError(
+                    f"{path}:{lineno}: {command} takes no key {key!r}")
             try:
-                values[field] = parse(val.strip())
+                values[key] = _OPTIONS[key][1](val.strip())
             except (ValueError, InvalidArgumentError) as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
     return values
@@ -134,40 +133,39 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Defaults, then config file, then explicit flags; then the checks."""
-    cfg = argparse.Namespace(command=args.command, **{
-        field: default for field, _, default in _OPTIONS.values()})
-    if cfg.command == "verify":
-        cfg.truncation = 25
+    command = _COMMANDS[args.command]
+    values = {key: command.defaults.get(key, _OPTIONS[key][2])
+              for key in command.reads}
     if args.config:
-        vars(cfg).update(_load_config_file(args.config))
-    for field, _, _ in _OPTIONS.values():
-        flag = getattr(args, field, None)
+        values.update(_load_config_file(args.config, args.command))
+    for key in command.reads:
+        flag = getattr(args, _OPTIONS[key][0])
         if flag is not None:
-            setattr(cfg, field, flag)
-    for fields, message in _REQUIRED.get(cfg.command, ()):
-        if any(getattr(cfg, field) is None for field in fields):
-            raise InvalidArgumentError(message)
-    for name, lam in (("lambda_min", cfg.lambda_min),
-                      ("lambda_max", cfg.lambda_max), ("lambda", cfg.lam)):
-        if lam is not None:
-            network.check_lambda(lam, name)
-    if (cfg.lambda_min is not None and cfg.lambda_max is not None
-            and cfg.lambda_min > cfg.lambda_max):
+            values[key] = flag
+    for key in command.needs:
+        if values[key] is None:
+            raise InvalidArgumentError(
+                f"{args.command} needs --{key.replace('_', '-')}")
+    for key in ("lambda_min", "lambda_max", "lambda"):
+        if values.get(key) is not None:
+            network.check_lambda(values[key], key)
+    if "lambda_min" in values and values["lambda_min"] > values["lambda_max"]:
         raise InvalidArgumentError("lambda-min exceeds lambda-max")
-    if cfg.steps < 1:
+    if values.get("steps", 1) < 1:
         raise InvalidArgumentError("steps must be at least 1")
-    network.check_truncation(cfg.truncation)
-    network.check_sigma(cfg.sigma)
-    if cfg.backend not in ("gaussian", "fock"):
-        raise InvalidArgumentError("backend must be gaussian or fock")
-    if cfg.grid is not None:
-        n, xmax = cfg.grid
+    if "truncation" in values:
+        network.check_truncation(values["truncation"])
+    if "sigma" in values:
+        network.check_sigma(values["sigma"])
+    if values.get("grid") is not None:
+        n, xmax = values["grid"]
         if n < 2:
             raise InvalidArgumentError("grid size must be at least 2")
         if not 0 < xmax < math.inf:
             raise InvalidArgumentError(
                 "grid extent must be positive and finite")
-    return cfg
+    return argparse.Namespace(command=args.command, **{
+        _OPTIONS[key][0]: value for key, value in values.items()})
 
 
 # ------------------------------------------------------------------ commands
@@ -233,8 +231,7 @@ def cmd_clone(cfg: argparse.Namespace) -> int:
 
 def cmd_povm(cfg: argparse.Namespace) -> int:
     params = measurement.povm_params(cfg.lam, cfg.phi, cfg.theta)
-    alpha = cfg.alpha if cfg.alpha is not None else 0j
-    probe = fock.coherent_fock(alpha, cfg.truncation)
+    probe = fock.coherent_fock(cfg.alpha, cfg.truncation)
     n, xmax = cfg.grid
     xs = np.linspace(-xmax, xmax, n)
     vals = measurement.povm_density_grid(params, xs, xs, probe)
@@ -242,7 +239,7 @@ def cmd_povm(cfg: argparse.Namespace) -> int:
     out = open(cfg.out, "w", encoding="utf-8", newline="\n") if cfg.out else sys.stdout
     try:
         out.write(f"# lambda = {_fmt(cfg.lam)} phi = {_fmt(cfg.phi)} "
-                  f"theta = {_fmt(cfg.theta)} alpha = {alpha}\n")
+                  f"theta = {_fmt(cfg.theta)} alpha = {cfg.alpha}\n")
         out.write(f"# C = {_fmt(params.C)}\n# D = {_fmt(params.D)}\n"
                   f"# E = {_fmt(params.E)}\n")
         out.write(f"# |delta| = {_fmt(abs(params.delta))}\n"
@@ -274,8 +271,31 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- parser
 
-_ALPHA_HELP = ("input coherent amplitude; write a negative real part as"
-               " --alpha=-0.3,0.6")
+_Command = namedtuple("_Command", "help description reads needs defaults")
+
+# a key a command needs has no default; ``defaults`` overrides _OPTIONS
+_COMMANDS = {
+    "sweep": _Command(
+        "CSV over a lambda grid",
+        "Writes CSV columns " + _CSV_HEADER + ": amplifier gains, X variance"
+        " of clone c, Y variance of clone a, their product, and the"
+        " coherent-input fidelity of each clone.",
+        ("lambda_min", "lambda_max", "steps", "alpha", "sigma", "out"),
+        ("lambda_min", "lambda_max", "alpha", "out"), {}),
+    "clone": _Command(
+        "single cloning run summary", None,
+        ("lambda", "alpha", "sigma", "backend", "truncation", "out"),
+        ("lambda", "alpha"), {}),
+    "povm": _Command(
+        "outcome-density table",
+        "Emits the parameter header (C, D, E, |delta|, |beta|, |gamma|, xi)"
+        " and CSV columns x,x_prime,density followed by a trailing integral"
+        " comment.",
+        ("lambda", "phi", "theta", "grid", "alpha", "truncation", "out"),
+        ("lambda", "phi", "theta", "grid"), {"alpha": 0j}),
+    "verify": _Command("run the verification suite", None,
+                      ("truncation", "seed"), (), {"truncation": 25}),
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -285,60 +305,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cvclone",
         description="Simulate the three-amplifier one-to-two cloning network.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help,
+                           description=command.description)
         p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--truncation", type=int, default=None,
-                       help="Fock levels per mode, %d..%d"
-                       % network.TRUNCATION_RANGE)
-        p.add_argument("--seed", type=int, default=None)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="CSV over a lambda grid",
-        description="Writes CSV columns " + _CSV_HEADER + ": amplifier gains,"
-        " X variance of clone c, Y variance of clone a, their product, and"
-        " the coherent-input fidelity of each clone.")
-    common(p_sweep)
-    p_sweep.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p_sweep.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p_sweep.add_argument("--steps", type=int, default=None)
-    p_sweep.add_argument("--alpha", type=_ALPHA_ARG, metavar="RE,IM",
-                         help=_ALPHA_HELP)
-    p_sweep.add_argument("--sigma", type=float, default=None)
-    p_sweep.add_argument("--out", help="output CSV path")
-
-    p_clone = sub.add_parser("clone", help="single cloning run summary")
-    common(p_clone)
-    p_clone.add_argument("--lambda", dest="lam", type=float)
-    p_clone.add_argument("--alpha", type=_ALPHA_ARG, metavar="RE,IM",
-                         help=_ALPHA_HELP)
-    p_clone.add_argument("--sigma", type=float, default=None)
-    p_clone.add_argument("--backend", choices=("gaussian", "fock"))
-    p_clone.add_argument("--out", help="optional CSV path")
-
-    p_povm = sub.add_parser(
-        "povm", help="outcome-density table",
-        description="Emits the parameter header (C, D, E, |delta|, |beta|,"
-        " |gamma|, xi) and CSV columns x,x_prime,density followed by a"
-        " trailing integral comment.")
-    common(p_povm)
-    p_povm.add_argument("--lambda", dest="lam", type=float)
-    p_povm.add_argument("--phi", type=float)
-    p_povm.add_argument("--theta", type=float)
-    p_povm.add_argument("--grid", type=_GRID_ARG, metavar="N,XMAX")
-    p_povm.add_argument("--alpha", type=_ALPHA_ARG, metavar="RE,IM",
-                        help=_ALPHA_HELP + " (default 0,0)")
-    p_povm.add_argument("--out", help="optional output path (default stdout)")
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    common(p_verify)
+        for key in command.reads:
+            field, parse, _, metavar, text = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=field,
+                           type=_argument_type(parse), metavar=metavar,
+                           help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     dispatch = {"sweep": cmd_sweep, "clone": cmd_clone,

@@ -104,8 +104,17 @@ class FockVector:
         return float(t.sum() - keep.sum())
 
 
+def _integer(value, name: str) -> int:
+    """``value`` through ``operator.index``: an int or a numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"{name} must be an integer, got {value!r}") from None
+
+
 def _mode_dims(dims) -> tuple:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer(d, "dimension") for d in dims)
     if any(d < 2 for d in dims):
         raise InvalidArgumentError("every mode needs dimension >= 2")
     return dims
@@ -190,7 +199,7 @@ def pair_generator(kind: str, dims, i: int, j: int):
     The matrix is cached per (kind, dims, i, j) and shared by every caller,
     so callers scale it and never write to it.
     """
-    return _pair_generator(kind, tuple(int(d) for d in dims), i, j)
+    return _pair_generator(kind, _mode_dims(dims), i, j)
 
 
 # verify holds at most 21 generators at once: A, B and C at three
@@ -564,11 +573,7 @@ def _hermgauss(grid: int) -> tuple:
 
 def _grid_size(grid) -> int:
     """The node count per axis: an integer, at least 41."""
-    try:
-        grid = operator.index(grid)
-    except TypeError:
-        raise InvalidArgumentError(
-            f"grid must be an integer, got {grid!r}") from None
+    grid = _integer(grid, "grid")
     if grid < 41:
         raise InvalidArgumentError("need at least a 41x41 node grid")
     return grid

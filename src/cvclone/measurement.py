@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,10 +230,8 @@ def sample_joint_quadratures(result: network.CloneResult, phi: float,
         raise InvalidArgumentError(
             "sampling needs a gaussian-backend result; compare Fock runs "
             "through povm_density instead")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidArgumentError(f"n must be an integer, not {n!r}") from None
+    n = fock._integer(n, "n")
+    network.check_seed(seed)
     if n < 1:
         raise InvalidArgumentError("need at least one sample")
     state = result.state

@@ -84,10 +84,16 @@ def check_sigma(sigma: float) -> None:
 
 
 def check_truncation(truncation: int) -> None:
-    """Refuse Fock levels per mode outside TRUNCATION_RANGE."""
+    """Refuse Fock levels per mode outside TRUNCATION_RANGE or not integral."""
     lo, hi = TRUNCATION_RANGE
-    if not lo <= truncation <= hi:
+    if not lo <= fock._integer(truncation, "truncation") <= hi:
         raise InvalidArgumentError(f"truncation must lie in [{lo}, {hi}]")
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a random seed that is not a non-negative integer."""
+    if fock._integer(seed, "seed") < 0:
+        raise InvalidArgumentError("seed must be a non-negative integer")
 
 
 def network_from_lambda(lam: float, sigma: float = 1.0) -> CloningNetworkSpec:
@@ -146,6 +152,7 @@ def preparation_state(sigma: float, backend: str = "gaussian",
         return gaussian.GaussianState(2, np.zeros(4),
                                       sigma_prep_covariance(sigma))
     if backend == "fock":
+        truncation = fock._integer(truncation, "truncation")
         n = np.arange(truncation)
         chi = np.zeros((truncation, truncation), np.complex128)
         chi[n, n] = math.sqrt(8.0 / 9.0) * (-1.0 / 3.0) ** n

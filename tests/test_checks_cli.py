@@ -244,6 +244,22 @@ def test_run_all_truncation_bounds():
         checks.run_all(truncation=33)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_run_all_refuses_a_bad_seed_before_any_check(seed, monkeypatch):
+    monkeypatch.setattr(checks, "_check_commutators", None)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        checks.run_all(truncation=25, seed=seed)
+
+
+@pytest.mark.parametrize("truncation", ["8", "25"])
+def test_verify_refuses_a_negative_seed(truncation, capsys):
+    # exited 0 at truncation 8, where no check draws, and 4 at 25
+    code = cli.main(["verify", "--seed", "-1", "--truncation", truncation])
+    assert code == cli.EXIT_BAD_CONFIG == 2
+    assert capsys.readouterr() == (
+        "", "invalid configuration: seed must be a non-negative integer\n")
+
+
 def test_check_result_failed_property():
     ok = checks.CheckResult("x", "pass", "", 0.0)
     bad = checks.CheckResult("x", "fail", "", 0.0)
@@ -409,6 +425,102 @@ def test_config_sigma_outside_range_is_refused(tmp_path, capsys):
                      "--alpha", "1,0"]) == 2
     assert capsys.readouterr().err == (
         "invalid configuration: sigma must lie in [0.25, 4]\n")
+
+
+# the keys each command reads; it has a flag and a config key for these only
+_READS = {
+    "sweep": {"lambda_min", "lambda_max", "steps", "alpha", "sigma", "out"},
+    "clone": {"lambda", "alpha", "sigma", "backend", "truncation", "out"},
+    "povm": {"lambda", "phi", "theta", "grid", "alpha", "truncation", "out"},
+    "verify": {"truncation", "seed"},
+}
+_VALUES = {"lambda": "3", "lambda_min": "1", "lambda_max": "2", "steps": "2",
+           "alpha": "0.5,0", "sigma": "1", "backend": "fock",
+           "truncation": "16", "seed": "3", "out": "x.csv", "phi": "0",
+           "theta": "1.5", "grid": "5,2.0"}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_a_command_takes_a_flag_only_for_a_key_it_reads(command, capsys):
+    for key, value in _VALUES.items():
+        argv = [command, _flag(key), value]
+        if key in _READS[command]:
+            cli._build_parser().parse_args(argv)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert sum(map(len, _READS.values())) == 21
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_a_config_file_sets_only_the_keys_its_command_reads(command, tmp_path,
+                                                            capsys):
+    # a clone config with "seed = 3" once ran and ignored the line
+    for key, value in _VALUES.items():
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code = cli.main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        if key in _READS[command]:
+            assert "takes no key" not in err, (key, err)
+        else:
+            assert code == 2
+            assert err == (f"invalid configuration: {cfg}:1: "
+                           f"{command} takes no key {key!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda-min", "1", "--lambda-max", "2", "--alpha", "1,0",
+     "--truncation", "16"],
+    ["sweep", "--lambda-min", "1", "--lambda-max", "2", "--alpha", "1,0",
+     "--seed", "1"],
+    ["clone", "--lambda", "3", "--alpha", "0.5,0", "--seed", "1"],
+    _POVM + ["--grid", "5,2.0", "--seed", "1"],
+], ids=["sweep-truncation", "sweep-seed", "clone-seed", "povm-seed"])
+def test_flags_a_command_never_read_are_refused(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = argv + (["--out", str(out)] if argv[0] == "sweep" else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_backend_is_refused_by_its_own_parser(tmp_path, capsys):
+    message = "backend must be gaussian or fock"
+    argv = ["clone", "--lambda", "3", "--alpha", "0.5,0"]
+    assert cli.main(argv + ["--backend", "nope"]) == 2
+    assert f"argument --backend: {message}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("backend = nope\n", encoding="utf-8")
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid configuration: {cfg}:1: {message}\n")
+
+
+_FULL = {
+    "sweep": {"lambda_min": "1", "lambda_max": "2", "alpha": "1,0",
+              "out": "x.csv"},
+    "clone": {"lambda": "3", "alpha": "0.5,0"},
+    "povm": {"lambda": "3", "phi": "0", "theta": "1.5", "grid": "5,2.0"},
+}
+
+
+@pytest.mark.parametrize("command, missing", [
+    (command, key) for command, keys in _FULL.items() for key in keys])
+def test_a_missing_required_key_names_its_flag(command, missing, capsys):
+    argv = [command]
+    for key, value in _FULL[command].items():
+        if key != missing:
+            argv += [_flag(key), value]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"invalid configuration: {command} needs {_flag(missing)}\n")
 
 
 def test_exit_code_for_unwritable_output(tmp_path):

@@ -448,6 +448,20 @@ def test_sampler_refuses_a_non_integral_count():
     assert draws.shape == (3, 2)
 
 
+def test_sampler_refuses_a_bad_seed():
+    # seed -1 once raised numpy's bare ValueError
+    res = network.run_cloner(0j, network.network_from_lambda(2.0),
+                             backend="gaussian")
+    with pytest.raises(InvalidArgumentError, match="non-negative integer"):
+        measurement.sample_joint_quadratures(res, 0.0, RIGHT, 3, -1)
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        measurement.sample_joint_quadratures(res, 0.0, RIGHT, 3, 1.5)
+    draws = measurement.sample_joint_quadratures(res, 0.0, RIGHT, 3,
+                                                 np.int64(1))
+    assert np.array_equal(
+        draws, measurement.sample_joint_quadratures(res, 0.0, RIGHT, 3, 1))
+
+
 def test_husimi_limit_agreement():
     gap = measurement.husimi_limit_check(1.0 + 1.0j, 8.0)
     assert gap == measurement.husimi_limit_check(1.0 + 1.0j, 8.0)

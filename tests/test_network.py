@@ -492,3 +492,34 @@ def test_fock_method_validation():
     with pytest.raises(InvalidArgumentError):
         fock.apply_network_fock(network.network_from_lambda(1.0), full,
                                 method="trotter")
+
+
+_SPEC3 = network.network_from_lambda(3.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: network.check_truncation(12.5),
+    lambda: checks.run_all(truncation=12.5),
+    lambda: fock.vacuum_fock((12.5, 3.9)),
+    lambda: fock.coherent_fock(0.1, 12.5),
+    lambda: fock.pair_generator("squeezer", (4.0, 4.0), 0, 1),
+    lambda: network.run_cloner(0.5, _SPEC3, backend="fock", truncation=12.0),
+    lambda: network.preparation_state(1.5, "fock", truncation=12.5),
+], ids=["check_truncation", "run_all", "vacuum_fock", "coherent_fock",
+        "pair_generator", "run_cloner", "preparation_state"])
+def test_a_truncation_or_dimension_must_be_an_integer(build):
+    # each once passed, truncated silently, or raised a bare numpy error
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integers_still_size_a_fock_space():
+    d = np.int64(12)
+    network.check_truncation(d)
+    assert fock.vacuum_fock((d, np.int32(3))).dims == (12, 3)
+    assert fock.coherent_fock(0.1, d).dims == (12,)
+    prep = network.preparation_state(1.5, "fock", truncation=d)
+    assert prep.dims == (12, 12)
+    res = network.run_cloner(0.5, _SPEC3, backend="fock",
+                             truncation=np.int64(16))
+    assert res.clone_c.dim == 16
