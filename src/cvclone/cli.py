@@ -301,12 +301,13 @@ _COMMANDS = {
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     # built on the first call and reused: parse_args keeps no state
+    # allow_abbrev=False: a flag, like a config key, is taken only in full
     parser = argparse.ArgumentParser(
-        prog="cvclone",
+        prog="cvclone", allow_abbrev=False,
         description="Simulate the three-amplifier one-to-two cloning network.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help,
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False,
                            description=command.description)
         p.add_argument("--config", help="key=value file; flags override it")
         for key in command.reads:

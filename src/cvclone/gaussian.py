@@ -81,10 +81,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def mode_mean(self, mode: int) -> complex:
-        i = 2 * _check_mode(self.n_modes, mode)
-        return complex(self.mean[i], self.mean[i + 1])
-
 
 @dataclass(frozen=True)
 class SymplecticTransform:

@@ -234,6 +234,8 @@ def sample_joint_quadratures(result: network.CloneResult, phi: float,
     network.check_seed(seed)
     if n < 1:
         raise InvalidArgumentError("need at least one sample")
+    if not (math.isfinite(phi) and math.isfinite(theta)):
+        raise InvalidArgumentError("measurement angles must be finite")
     state = result.state
     eu = np.zeros(6)
     eu[0], eu[1] = math.cos(phi), math.sin(phi)
@@ -253,24 +255,18 @@ def husimi_limit_check(alpha: complex, lam: float) -> float:
     In the large-lam limit the outcome pair (X on c, Y on a) distributes like
     the Husimi function of the input: mean (Re alpha, Im alpha), variance 1/2
     per axis, no correlation. Returns the largest absolute discrepancy over
-    those five moments, estimated from 100 000 draws with seed 7.
+    those five moments, read exactly off the symplectic backend's output, so
+    the gap is deterministic (at alpha = 1 + 1j: cosh(2 e^-lam) - 1).
     """
     if lam < 4.0:
         raise InvalidArgumentError("husimi comparison needs lam >= 4")
-    spec = network.network_from_lambda(lam)
-    result = network.run_cloner(complex(alpha), spec, backend="gaussian")
-    samples = sample_joint_quadratures(result, 0.0, math.pi / 2.0,
-                                       100_000, 7)
-    emp_mean = samples.mean(axis=0)
-    centered = samples - emp_mean
-    emp_cov = (centered.T @ centered) / samples.shape[0]
-    target_mean = np.array([np.real(alpha), np.imag(alpha)])
-    gaps = [abs(emp_mean[0] - target_mean[0]),
-            abs(emp_mean[1] - target_mean[1]),
-            abs(emp_cov[0, 0] - 0.5),
-            abs(emp_cov[1, 1] - 0.5),
-            abs(emp_cov[0, 1])]
-    return float(max(gaps))
+    alpha = complex(alpha)
+    out = network.run_cloner(alpha, network.network_from_lambda(lam)).state
+    mean_xc, var_xc = gaussian.quadrature_moments(out, 0, 0.0)
+    mean_ya, var_ya = gaussian.quadrature_moments(out, 1, math.pi / 2.0)
+    return float(max(abs(mean_xc - alpha.real), abs(mean_ya - alpha.imag),
+                     abs(var_xc - 0.5), abs(var_ya - 0.5),
+                     abs(out.cov[0, 3])))       # cov(x_c, y_a)
 
 
 def sigma_variant_report(sigma: float, lam: float):

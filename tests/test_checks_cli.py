@@ -1,6 +1,7 @@
 """Verification suite wiring and the command-line surface."""
 
 import ast
+import dataclasses
 import functools
 import json
 import math
@@ -16,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import cvclone
-from cvclone import checks, cli, fock, network
+from cvclone import checks, cli, fock, gaussian, network
 from cvclone.errors import (InvalidArgumentError, TruncationOverflowError,
                             TruncationWarning)
 
@@ -89,6 +90,47 @@ def test_wrong_gains_are_caught_by_name(skewed_gains):
     others = [r for r in results if r.name != "gains-consistency"
               and r.status != "skip"]
     assert all(not r.failed for r in others)
+
+
+def test_gains_are_read_off_the_built_gates():
+    status, detail = checks._check_gains()
+    assert (status, detail) == ("pass",
+                                "max gain deviation 0.00e+00 (tol 1e-12)")
+
+
+def _gains_result():
+    by_name = {r.name: r for r in checks.run_all(truncation=8)}
+    return by_name["gains-consistency"]
+
+
+def test_a_wrong_gate_entry_fails_the_gains_check(monkeypatch):
+    # the printed gains and the closed forms still agree; only the gate lies
+    exact = gaussian.two_mode_squeezer
+
+    def skewed(n_modes, i, j, r):
+        matrix = exact(n_modes, i, j, r).matrix.copy()
+        matrix[2 * i, 2 * i] *= 1.0 + 1e-9
+        return gaussian._trusted(gaussian.SymplecticTransform, matrix=matrix)
+
+    monkeypatch.setattr(gaussian, "two_mode_squeezer", skewed)
+    bad = _gains_result()
+    assert bad.failed
+    assert "off the gates" in bad.detail and "expected" in bad.detail
+
+
+def test_a_wrong_stage_strength_fails_the_gains_check(monkeypatch):
+    # the gates and the printed gains agree with each other, not the paper
+    exact = network.network_from_lambda
+
+    def skewed(lam, sigma=1.0):
+        spec = exact(lam, sigma)
+        st = spec.stages[1]
+        stages = (spec.stages[0], st._replace(strength=st.strength * 1.01),
+                  spec.stages[2])
+        return dataclasses.replace(spec, stages=stages)
+
+    monkeypatch.setattr(network, "network_from_lambda", skewed)
+    assert _gains_result().failed
 
 
 @functools.lru_cache(maxsize=None)
@@ -489,6 +531,17 @@ def test_flags_a_command_never_read_are_refused(argv, tmp_path, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+def test_a_flag_must_be_spelled_in_full(capsys):
+    # "verify --trunc 8" once ran at truncation 8 and exited 0, and
+    # "sweep --lambda 3" failed as an ambiguous prefix of --lambda-min/max
+    assert cli.main(["verify", "--trunc", "8"]) == 2
+    assert "unrecognized arguments: --trunc 8" in capsys.readouterr().err
+    assert cli.main(["sweep", "--lambda", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --lambda 3" in err
+    assert "ambiguous" not in err
 
 
 def test_backend_is_refused_by_its_own_parser(tmp_path, capsys):

@@ -47,16 +47,16 @@ def test_two_mode_squeezer_is_pure():
 def test_beam_splitter_quarter_turn_swaps_modes():
     st = gaussian.displace(gaussian.vacuum_state(2), 0, 0.8 - 0.2j)
     out = gaussian.beam_splitter(2, 0, 1, math.pi / 2.0).apply(st)
-    assert out.mode_mean(0) == pytest.approx(0.0, abs=1e-15)
-    assert out.mode_mean(1) == pytest.approx(-(0.8 - 0.2j), abs=1e-15)
+    assert out.mean[0:2] == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert out.mean[2:4] == pytest.approx([-0.8, 0.2], abs=1e-15)
 
 
 def test_beam_splitter_balanced_split():
     st = gaussian.displace(gaussian.vacuum_state(2), 0, 1.0 + 0j)
     out = gaussian.beam_splitter(2, 0, 1, math.pi / 4.0).apply(st)
     r = 1.0 / math.sqrt(2.0)
-    assert out.mode_mean(0) == pytest.approx(r, abs=1e-15)
-    assert out.mode_mean(1) == pytest.approx(-r, abs=1e-15)
+    assert out.mean[0:2] == pytest.approx([r, 0.0], abs=1e-15)
+    assert out.mean[2:4] == pytest.approx([-r, 0.0], abs=1e-15)
     # passive gate: vacuum covariance is invariant
     np.testing.assert_allclose(out.cov, np.eye(4) / 4.0, atol=1e-15)
 
@@ -86,8 +86,8 @@ def test_reduce_preserves_requested_order():
     st = gaussian.displace(gaussian.vacuum_state(3), 1, 2.0 + 0j)
     sub = gaussian.reduce(st, [2, 1])
     assert sub.n_modes == 2
-    assert sub.mode_mean(0) == 0.0
-    assert sub.mode_mean(1) == pytest.approx(2.0, abs=1e-15)
+    assert list(sub.mean[0:2]) == [0.0, 0.0]
+    assert sub.mean[2:4] == pytest.approx([2.0, 0.0], abs=1e-15)
 
 
 def test_reduce_matches_fancy_indexing_and_is_contiguous():

@@ -462,12 +462,63 @@ def test_sampler_refuses_a_bad_seed():
         draws, measurement.sample_joint_quadratures(res, 0.0, RIGHT, 3, 1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["phi", "theta"])
+def test_sampler_refuses_a_non_finite_angle(slot, bad):
+    # phi = nan once drew NaN samples, phi = inf raised a bare ValueError
+    res = network.run_cloner(0j, network.network_from_lambda(2.0),
+                             backend="gaussian")
+    angles = {"phi": 0.0, "theta": RIGHT, slot: bad}
+    with pytest.raises(InvalidArgumentError, match="angles must be finite"):
+        measurement.sample_joint_quadratures(res, angles["phi"],
+                                             angles["theta"], 3, 1)
+
+
+def _husimi_excess(lam):
+    # at alpha = 1 + 1j the gap is the clone-c mean gain's excess over 1
+    return math.cosh(2.0 * math.exp(-lam)) - 1.0
+
+
 def test_husimi_limit_agreement():
-    gap = measurement.husimi_limit_check(1.0 + 1.0j, 8.0)
-    assert gap == measurement.husimi_limit_check(1.0 + 1.0j, 8.0)
-    assert gap < 5e-3  # measured 1.64e-3 at 1e5 draws
+    for lam in (4.0, 8.0):
+        gap = measurement.husimi_limit_check(1.0 + 1.0j, lam)
+        assert gap == pytest.approx(_husimi_excess(lam), rel=1e-9)
     with pytest.raises(InvalidArgumentError):
         measurement.husimi_limit_check(0j, 2.0)
+
+
+def test_husimi_limit_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("husimi_limit_check drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    gap = measurement.husimi_limit_check(1.0 + 1.0j, 8.0)
+    assert gap == pytest.approx(_husimi_excess(8.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [4.0, 8.0])
+def test_a_wrong_stage_breaks_the_husimi_gap(lam, monkeypatch):
+    exact = network.network_from_lambda
+
+    def skewed(lam, sigma=1.0):
+        spec = exact(lam, sigma)
+        st = spec.stages[1]
+        stages = (spec.stages[0], st._replace(strength=st.strength * 1.01),
+                  spec.stages[2])
+        return dataclasses.replace(spec, stages=stages)
+
+    monkeypatch.setattr(network, "network_from_lambda", skewed)
+    gap = measurement.husimi_limit_check(1.0 + 1.0j, lam)
+    assert gap != pytest.approx(_husimi_excess(lam), rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the literal product "
+                   "S3 S2 S1 cancels terms of size e^lam, so clone a's Y "
+                   "variance at lam = 12 is 1.6e-7 off")
+def test_husimi_limit_agreement_at_the_coupling_cap():
+    # the exact excess here is 7.55e-11; the literal transform gives 1.645e-7
+    gap = measurement.husimi_limit_check(1.0 + 1.0j, 12.0)
+    assert gap == pytest.approx(_husimi_excess(12.0), rel=1e-9)
 
 
 def test_sigma_variant_report():
