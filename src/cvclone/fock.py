@@ -5,10 +5,14 @@ operators are the two-mode gate generators, the pair squeezer or the splitter
 on one pair of modes: ``pair_generator`` builds each as a real (float64) DIA
 matrix of two diagonals from the mode-major index and caches it, and
 ``build_generator`` names the three network gates among them. Around them sit
-one exponential, the action of a generator's exponential on a state
-(``expm_apply``), which network evolution applies factor by factor and
-``squeeze_matrix`` applies to the identity for the dense single-mode
-squeezer, then reduced density matrices and the displaced-mixture integral.
+two exponential actions on a state, one per kind of factor.
+``pair_expm_apply`` applies a single pair gate exactly, from the
+photon-number chains its generator splits into: every literal network stage,
+the merged path's preparation and the pair gates of ``checks``.
+``expm_apply`` sums a Chebyshev series for the rest: the merged path's mixed
+A/B factor, and the dense single-mode squeezer, which ``squeeze_matrix``
+builds by applying it to the identity. Then come reduced density matrices
+and the displaced-mixture integral.
 This module is the ground truth the symplectic backend is checked against.
 It imports nothing from ``network``, whose stages ``apply_network_fock`` is
 handed; the network's limit-form checks live in ``measurement``.
@@ -20,9 +24,9 @@ J_k(rho), and the number of terms is fixed from rho before the first product,
 so that the dropped tail is below 2^-53 ||v||_2. A generator that is not
 anti-Hermitian is refused. The recurrence runs in the promoted dtype of
 generator and vector, so a state with zero imaginary part evolves in real
-arithmetic and a complex one in complex arithmetic, and
-``apply_network_fock`` runs every state whose imaginary part is exactly zero
-as float64.
+arithmetic and a complex one in complex arithmetic; ``pair_expm_apply`` keeps
+a real state real too. So ``apply_network_fock`` runs every state whose
+imaginary part is exactly zero as float64.
 
 Mode order for three-mode vectors is (c, a, b): c carries the input, a the
 second clone, b the ancilla. Index layout is mode-major,
@@ -199,21 +203,27 @@ def pair_generator(kind: str, dims, i: int, j: int):
     The matrix is cached per (kind, dims, i, j) and shared by every caller,
     so callers scale it and never write to it.
     """
-    return _pair_generator(kind, _mode_dims(dims), i, j)
+    dims = _mode_dims(dims)
+    _check_pair(dims, i, j)
+    return _pair_generator(kind, dims, i, j)
 
 
-# verify holds at most 21 generators at once: A, B and C at three
-# truncations and all twelve ordered pairs at d = 25
-@functools.lru_cache(maxsize=32)
-def _pair_generator(kind: str, dims: tuple, i: int, j: int):
-    # imported here so that commands without a tensor space never load scipy
-    import scipy.sparse as sp
-
+def _check_pair(dims: tuple, i: int, j: int) -> None:
     for m in (i, j):
         if not 0 <= m < len(dims):
             raise InvalidArgumentError(f"mode {m} out of range")
     if i == j:
         raise InvalidArgumentError("a pair generator needs two distinct modes")
+
+
+# verify holds at most 8 generators at once: A, B and C at its truncation,
+# A and B at 16, and the three two-mode ones behind its chain tables; the
+# Fock benchmark holds A and B at five truncations and one two-mode one
+@functools.lru_cache(maxsize=16)
+def _pair_generator(kind: str, dims: tuple, i: int, j: int):
+    # imported here so that commands without a tensor space never load scipy
+    import scipy.sparse as sp
+
     size = math.prod(dims)
     strides = [math.prod(dims[m + 1:]) for m in range(len(dims))]
     flat = np.arange(size)
@@ -245,14 +255,19 @@ _NETWORK_PAIRS = {"A": ("squeezer", 2, 0), "B": ("splitter", 1, 0),
                   "C": ("squeezer", 1, 2)}
 
 
+def _network_pair(kind: str) -> tuple:
+    """(pair generator, i, j) of network gate ``kind``."""
+    if kind not in _NETWORK_PAIRS:
+        raise InvalidArgumentError(f"unknown generator kind {kind!r}")
+    return _NETWORK_PAIRS[kind]
+
+
 def build_generator(kind: str, dims):
     """One of the three network generators on (c, a, b): the cached DIA
     matrix of ``pair_generator`` for its pair."""
     if len(dims) != 3:
         raise InvalidArgumentError("generators live on three modes")
-    if kind not in _NETWORK_PAIRS:
-        raise InvalidArgumentError(f"unknown generator kind {kind!r}")
-    pair, i, j = _NETWORK_PAIRS[kind]
+    pair, i, j = _network_pair(kind)
     return pair_generator(pair, dims, i, j)
 
 
@@ -339,14 +354,18 @@ def _is_anti_hermitian(mat) -> bool:
 def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
     """exp(mat) @ vec for an anti-Hermitian mat.
 
-    A dense ``ndarray`` stays dense, and needs no scipy: ``squeeze_matrix``
-    passes one. Other input is worked on as a DIA matrix, the form of every
-    generator from ``pair_generator``; other sparse formats are converted
-    once. ``vec`` is one vector (n,) or a block of columns (n, k); the result
-    has the promoted dtype of ``mat`` and ``vec`` (at least float64), so a
-    real generator on a real vector runs in real arithmetic. A matrix that is
-    not square and exactly anti-Hermitian raises InvalidArgumentError: the
-    expansion below holds only on the imaginary axis.
+    The exponential for factors that are not a single pair gate, which
+    ``pair_expm_apply`` takes exactly: the merged network's mixed A/B
+    factor, whose conserved sectors are two-dimensional lattices, and the
+    dense single-mode squeezer. A dense ``ndarray`` stays dense, and needs
+    no scipy: ``squeeze_matrix`` passes one. Other input is worked on as a
+    DIA matrix, the form of every generator from ``pair_generator``; other
+    sparse formats are converted once. ``vec`` is one vector (n,) or a block
+    of columns (n, k); the result has the promoted dtype of ``mat`` and
+    ``vec`` (at least float64), so a real generator on a real vector runs in
+    real arithmetic. A matrix that is not square and exactly anti-Hermitian
+    raises InvalidArgumentError: the expansion below holds only on the
+    imaginary axis.
 
     The method is the Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem.
     Phys. 81 (1984) 3967. For anti-Hermitian G the 1-norm equals the
@@ -390,6 +409,126 @@ def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite_strength(value) -> float:
+    """A gate strength as a float, refused unless real and finite."""
+    try:
+        strength = float(value)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"gate strength must be real, got {value!r}") from None
+    if not math.isfinite(strength):
+        raise InvalidArgumentError(f"gate strength {strength} is not finite")
+    return strength
+
+
+# verify uses three tables: the squeezer at d = 8, squeezer and splitter at 25
+@functools.lru_cache(maxsize=8)
+def _pair_chains(kind: str, d_i: int, d_j: int) -> tuple:
+    """``pair_generator(kind, (d_i, d_j), 0, 1)`` as a stack of chains.
+
+    The squeezer conserves n_i - n_j and the splitter n_i + n_j, so on the
+    (n_i, n_j) plane the generator is a direct sum of chains, one per
+    conserved value, each with positions in the order of n_i. On a chain it
+    is a real antisymmetric tridiagonal H. With D = diag(i^p),
+    D^-1 H D = i S, where the symmetric tridiagonal S has S[p, p + 1] =
+    H[p, p + 1] and a zero diagonal. So from S = V Lambda V^T,
+
+        exp(s H)[m, n] = i^(m - n) [V e^(i s Lambda) V^T][m, n],
+
+    a real orthogonal matrix. Write i^p = sign_p w_p with sign_p = +-1 and
+    w_p = 1 for even p, i for odd p, and R = diag(sign) V. Then
+    exp(s H) = same * (R cos(s Lambda) R^T) + cross * (R sin(s Lambda) R^T),
+    where same[m, n] is 1 when m and n have equal parity, and cross[m, n]
+    is +1 for even m and odd n, -1 for odd m and even n. Chains are padded
+    to L = min(d_i, d_j) positions. The padding of S is zero and its rows
+    of R are zeroed, so it never mixes into a chain.
+
+    Returns the eigenvalues (chains, L), R (chains, L, L), the (L, L)
+    patterns same and cross, the flat (n_i, n_j) index read into each
+    (chain, position), padding reading index 0, and the (chain, position)
+    slot written back to each flat index.
+    """
+    gen = pair_generator(kind, (d_i, d_j), 0, 1)
+    n_i, n_j = np.divmod(np.arange(d_i * d_j), d_j)
+    chain = n_i - n_j if kind == "squeezer" else n_i + n_j
+    chain -= chain.min()
+    counts = np.bincount(chain)
+    length = int(counts.max())
+    # positions count n_i up from its lowest value on the chain
+    low = np.full(counts.size, d_i)
+    np.minimum.at(low, chain, n_i)
+    pos = n_i - low[chain]
+    scatter = chain * length + pos
+    gather = np.zeros(counts.size * length, np.intp)
+    gather[scatter] = np.arange(chain.size)
+    # G[r, c] = data[c] on the diagonal at offset c - r: S keeps it above
+    # the chain's diagonal and flips its sign below
+    sym = np.zeros((counts.size, length, length))
+    for offset, data in zip(gen.offsets, _full_width(gen)):
+        col = np.flatnonzero(data)
+        row, col = pos[col - offset], col
+        sym[chain[col], row, pos[col]] = np.where(
+            pos[col] > row, data[col], -data[col])
+    vals, vecs = np.linalg.eigh(sym)
+    step = np.arange(length)
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[step % 4]
+    vecs *= (sign * (step < counts[:, None]))[:, :, None]
+    odd = step % 2
+    same = (odd[:, None] == odd).astype(float)
+    cross = (odd - odd[:, None]).astype(float)
+    table = (vals, vecs, same, cross, gather.reshape(counts.size, length),
+             scatter)
+    for arr in table:
+        arr.flags.writeable = False         # the cache shares them
+    return table
+
+
+def pair_expm_apply(kind: str, dims, i: int, j: int, strength: float,
+                    vec: np.ndarray) -> np.ndarray:
+    """exp(strength G) @ vec for G = ``pair_generator(kind, dims, i, j)``.
+
+    Exact up to roundoff, with no series: G is a direct sum of real
+    antisymmetric tridiagonal chains in the (n_i, n_j) plane, one per
+    conserved value and spectator level, and each chain's exponential comes
+    from one eigendecomposition (``_pair_chains``). The tables depend only
+    on (kind, d_i, d_j), so all pairs with the same two dimensions share
+    one.
+    The state is gathered into (chain, position, spectators x columns),
+    multiplied by the chain exponentials in one batched product, and
+    scattered back.
+
+    ``vec`` is one vector (n,) or a block of columns (n, k), as in
+    ``expm_apply``; a real one stays real (at least float64), and a complex
+    one is multiplied as its interleaved real and imaginary parts. A
+    strength that is not a finite real number is refused, and strength 0
+    returns a copy of ``vec``.
+    """
+    dims = _mode_dims(dims)
+    _check_pair(dims, i, j)
+    strength = _finite_strength(strength)
+    v = np.asarray(vec)
+    if v.shape[:1] != (math.prod(dims),) or v.ndim > 2:
+        raise InvalidArgumentError("vector length != product of dims")
+    dtype = np.result_type(v.dtype, np.float64)
+    vals, vecs, same, cross, gather, scatter = _pair_chains(
+        kind, dims[i], dims[j])
+    if strength == 0.0:
+        return np.array(v, dtype=dtype)
+    vecs_t = vecs.transpose(0, 2, 1)
+    gate = (same * ((vecs * np.cos(strength * vals)[:, None, :]) @ vecs_t)
+            + cross * ((vecs * np.sin(strength * vals)[:, None, :]) @ vecs_t))
+    plane = v.astype(dtype, copy=False).reshape(dims + v.shape[1:])
+    plane = np.moveaxis(plane, (i, j), (0, 1))
+    moved = plane.shape
+    block = plane.reshape(dims[i] * dims[j], -1)[gather]
+    if dtype.kind == "c":
+        out = (gate @ block.view(np.float64)).view(dtype)
+    else:
+        out = gate @ block
+    out = out.reshape(-1, out.shape[-1])[scatter].reshape(moved)
+    return np.moveaxis(out, (0, 1), (i, j)).reshape(v.shape)
+
+
 # ------------------------------------------------------------------- network
 
 def _leak_check(vec: FockVector, where: str) -> FockVector:
@@ -414,15 +553,27 @@ def apply_network_fock(spec, state: FockVector,
     labelled factors and checks guard-band leakage after each: "stage K(+s)"
     per literal gate; on the merged path any "preparation" exp((s1 + s3) C),
     then the "merged network". ``run_cloner`` passes s1 = -s3 and its own
-    preparation. A state with zero imaginary part evolves in real arithmetic.
+    preparation. Single-pair factors, every literal gate and the preparation,
+    run through ``pair_expm_apply``; the mixed A/B factor through
+    ``expm_apply``. A state with zero imaginary part evolves in real
+    arithmetic. An empty stage list or a stage strength that is not finite
+    is refused before any work.
     """
     if state.n_modes != 3:
         raise InvalidArgumentError("network input must have three modes")
     stages = spec.stages
+    if not stages:
+        raise InvalidArgumentError("the network has no stages")
+    strengths = [_finite_strength(st.strength) for st in stages]
     dims = state.dims
+
+    def pair_factor(kind, strength):
+        pair, i, j = _network_pair(kind)
+        return functools.partial(pair_expm_apply, pair, dims, i, j, strength)
+
     if method == "literal":
-        factors = [(build_generator(st.kind, dims) * st.strength,
-                    f"stage {st.kind}({st.strength:+.3f})") for st in stages]
+        factors = [(pair_factor(st.kind, s), f"stage {st.kind}({s:+.3f})")
+                   for st, s in zip(stages, strengths)]
     elif method != "merged":
         raise InvalidArgumentError(f"unknown method {method!r}")
     elif tuple(st.kind for st in stages) != ("C", "A", "C"):
@@ -430,23 +581,23 @@ def apply_network_fock(spec, state: FockVector,
     else:
         import scipy.sparse as sp
 
-        s1, s2, s3 = (st.strength for st in stages)
+        s1, s2, s3 = strengths
         prep = s1 + s3
-        factors = ([(build_generator("C", dims) * prep, "preparation")]
-                   if abs(prep) > 0 else [])
+        factors = [(pair_factor("C", prep), "preparation")] if prep else []
         # A and B lie on distinct diagonals, so the mixed factor stacks their
         # scaled full-width data
         a, b = build_generator("A", dims), build_generator("B", dims)
-        factors.append((sp.dia_matrix(
+        mixed = sp.dia_matrix(
             (np.concatenate((a.data * (s2 * math.cosh(s3)),
                              b.data * (s2 * math.sinh(s3)))),
-             np.concatenate((a.offsets, b.offsets))), shape=a.shape),
-            "merged network"))
+             np.concatenate((a.offsets, b.offsets))), shape=a.shape)
+        factors.append((functools.partial(expm_apply, mixed),
+                        "merged network"))
     v = state.amplitudes
     if not v.imag.any():
         v = v.real
-    for gen, label in factors:
-        v = expm_apply(gen, v)
+    for step, label in factors:
+        v = step(v)
         out = _leak_check(FockVector(dims, v), label)
     return out
 

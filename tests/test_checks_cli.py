@@ -260,7 +260,8 @@ def test_bch_check_fails_on_perturbed_sector_exponential(monkeypatch):
 
 
 def test_unitarity_check_fails_on_perturbed_exponential(monkeypatch):
-    monkeypatch.setattr(fock, "expm_apply", _scaled(fock.expm_apply))
+    monkeypatch.setattr(fock, "pair_expm_apply",
+                        _scaled(fock.pair_expm_apply))
     status, detail = checks._check_unitarity(12)
     assert status == "fail", detail
 
@@ -268,15 +269,28 @@ def test_unitarity_check_fails_on_perturbed_exponential(monkeypatch):
 def test_nan_residuals_fail_their_checks(monkeypatch):
     # the builtin max(0.0, nan) is 0.0, which once let NaN amplitudes pass
     # backend-equivalence with a moment gap of 0.00e+00
-    exact = fock.expm_apply
-    monkeypatch.setattr(fock, "expm_apply",
-                        lambda mat, vec: exact(mat, vec) * np.nan)
+    exact = fock.pair_expm_apply
+    monkeypatch.setattr(fock, "pair_expm_apply",
+                        lambda *args: exact(*args) * np.nan)
     status, detail = checks._check_backend_equivalence(25, 21)
     assert status == "fail" and "nan" in detail, detail
-    monkeypatch.setattr(fock, "expm_apply", exact)
+    monkeypatch.setattr(fock, "pair_expm_apply", exact)
     monkeypatch.setattr(fock, "trace_distance", lambda r1, r2: math.nan)
     status, detail = checks._check_weyl_covariance(16, 21)
     assert status == "fail" and "nan" in detail, detail
+
+
+def test_pair_gate_checks_run_no_chebyshev_sum(monkeypatch):
+    # every gate of unitarity and backend-equivalence is a single pair, so
+    # each runs as chain exponentials
+    calls = []
+    real = fock.expm_apply
+    monkeypatch.setattr(fock, "expm_apply",
+                        lambda mat, vec: calls.append(mat.shape)
+                        or real(mat, vec))
+    assert checks._check_unitarity(25)[0] == "pass"
+    assert checks._check_backend_equivalence(25, 21)[0] == "pass"
+    assert calls == []
 
 
 def test_run_all_truncation_bounds():
@@ -756,6 +770,21 @@ def test_fock_paths_do_not_import_scipy_linalg():
                          text=True, env=_child_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_import_and_verify_load_no_scipy_linalg():
+    # the chain exponentials take numpy's eigh: a fresh verify pays no
+    # scipy.linalg import, and importing the package loads no scipy at all
+    script = (
+        "import sys\n"
+        "import cvclone\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "assert not any(r.failed for r in cvclone.checks.run_all(25))\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=_child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", "False"]
 
 
 _LOADED_SCIPY = (

@@ -1,5 +1,6 @@
 """Truncated Fock backend: states, operators, evolution, mixtures."""
 
+import dataclasses
 import inspect
 import linecache
 import math
@@ -12,7 +13,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm as scipy_expm
 from scipy.special import jv
 
-from cvclone import _kernels, fock, measurement, network
+from cvclone import _kernels, checks, fock, measurement, network
 from cvclone.errors import (GridTooCoarseError, InvalidArgumentError,
                             TruncationOverflowError, TruncationWarning)
 
@@ -290,8 +291,8 @@ def test_expm_apply_stops_where_every_norm_is_exact(d):
 
 
 def test_expm_apply_on_the_unitarity_block_is_exact_reference():
-    # the 64 interior columns that verify's unitarity check evolves, through
-    # every stage in turn, against the Taylor reference and dense expm
+    # the 64 interior columns of verify's unitarity block, through every
+    # stage in turn, against the Taylor reference and dense expm
     d = 8
     gens = {k: fock.build_generator(k, (d,) * 3) for k in "ABC"}
     keep = np.arange(d) < d - 4
@@ -437,6 +438,88 @@ def test_pair_generator_validation():
             fock.pair_generator(kind, (4, 4, 4), i, j)
 
 
+@pytest.mark.parametrize("kind", ["squeezer", "splitter"])
+@pytest.mark.parametrize("dims", [(3, 5, 4), (6, 4, 5)])
+def test_pair_expm_apply_against_dense_expm(kind, dims):
+    # every ordered pair, so chains run along either mode and are padded to
+    # the shorter one; scipy's own error at strength 12 is up to 2e-13
+    n = math.prod(dims)
+    rng = np.random.default_rng(3)
+    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+    block = rng.normal(size=(n, 3))
+    inputs = (vec / np.linalg.norm(vec), vec.real / np.linalg.norm(vec.real),
+              block / np.linalg.norm(block, axis=0))
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            gen = fock.pair_generator(kind, dims, i, j).toarray()
+            for strength in (-0.7, 0.0, 1.2, 12.0):
+                dense = scipy_expm(strength * gen)
+                for x in inputs:
+                    got = fock.pair_expm_apply(kind, dims, i, j, strength, x)
+                    assert got.shape == x.shape
+                    np.testing.assert_allclose(got, dense @ x, rtol=0,
+                                               atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [21, 1234])
+def test_pair_expm_apply_matches_chebyshev_at_d25(seed):
+    dims = (25,) * 3
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        gates, alphas = checks._random_circuit(rng)
+        want = fock.tensor(*[fock.coherent_fock(al, 25)
+                             for al in alphas]).amplitudes
+        got = want
+        for kind, i, j, s in gates:
+            pair = "squeezer" if kind == "tms" else "splitter"
+            want = fock.expm_apply(s * fock.pair_generator(pair, dims, i, j),
+                                   want)
+            got = fock.pair_expm_apply(pair, dims, i, j, s, got)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_pair_expm_apply_keeps_real_arithmetic_real():
+    dims = (4, 6, 5)
+    vec = np.random.default_rng(5).normal(size=120)
+    for kind in ("squeezer", "splitter"):
+        got = fock.pair_expm_apply(kind, dims, 2, 1, 0.6, vec)
+        assert got.dtype == np.float64
+        same = fock.pair_expm_apply(kind, dims, 2, 1, 0.0, vec)
+        assert same is not vec
+        np.testing.assert_array_equal(same, vec)
+    got = fock.pair_expm_apply("squeezer", dims, 0, 1, 0.6, vec + 0j)
+    assert got.dtype == np.complex128
+
+
+def test_pair_tables_are_shared_by_pairs_of_equal_dims():
+    dims = (6, 6, 6)
+    vec = np.ones(216)
+    fock._pair_chains.cache_clear()
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        fock.pair_expm_apply("splitter", dims, i, j, 0.4, vec)
+    info = fock._pair_chains.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert not any(arr.flags.writeable
+                   for arr in fock._pair_chains("splitter", 6, 6))
+
+
+def test_pair_expm_apply_validation():
+    vec = np.ones(64)
+    for kind, i, j, strength in (("squeezer", 0, 0, 0.1),
+                                 ("splitter", 0, 3, 0.1),
+                                 ("squeezer", -1, 1, 0.1),
+                                 ("mixer", 0, 1, 0.1),
+                                 ("squeezer", 0, 1, math.nan),
+                                 ("splitter", 0, 1, math.inf),
+                                 ("squeezer", 0, 1, 0.1j)):
+        with pytest.raises(InvalidArgumentError):
+            fock.pair_expm_apply(kind, (4, 4, 4), i, j, strength, vec)
+    with pytest.raises(InvalidArgumentError):
+        fock.pair_expm_apply("squeezer", (4, 4, 4), 0, 1, 0.1, np.ones(63))
+
+
 def test_operator_dag_and_apply():
     ann = fock.annihilation_matrix(6)
     vec = fock.coherent_fock(0.5, 6)
@@ -534,6 +617,41 @@ def test_literal_path_overflows_at_moderate_coupling():
     with pytest.raises(TruncationOverflowError), warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         fock.apply_network_fock(spec, full, method="literal")
+
+
+def _network_with(strength, stage):
+    spec = network.network_from_lambda(1.0)
+    stages = list(spec.stages)
+    stages[stage] = stages[stage]._replace(strength=strength)
+    return dataclasses.replace(spec, stages=tuple(stages))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["merged", "literal"])
+@pytest.mark.parametrize("stage", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_network_refuses_a_non_finite_strength_before_any_work(
+        monkeypatch, method, stage, bad):
+    # a NaN stage 1 once dropped the merged preparation and was refused as
+    # guard-band leakage; elsewhere NaN and inf were refused as a generator
+    # that is not anti-Hermitian, inf after an inf * 0 RuntimeWarning
+    def refuse(*args):
+        raise AssertionError("evolved a state")
+
+    monkeypatch.setattr(fock, "expm_apply", refuse)
+    monkeypatch.setattr(fock, "pair_expm_apply", refuse)
+    full = fock.tensor(fock.vacuum_fock((8,)), fock.vacuum_fock((8, 8)))
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        fock.apply_network_fock(_network_with(bad, stage), full, method)
+
+
+@pytest.mark.parametrize("method", ["merged", "literal"])
+def test_network_refuses_an_empty_stage_list(method):
+    # the literal path once raised UnboundLocalError here
+    spec = dataclasses.replace(network.network_from_lambda(1.0), stages=())
+    full = fock.tensor(fock.vacuum_fock((8,)), fock.vacuum_fock((8, 8)))
+    with pytest.raises(InvalidArgumentError, match="no stages"):
+        fock.apply_network_fock(spec, full, method)
 
 
 def test_leakage_warning_on_tight_truncation():

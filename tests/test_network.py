@@ -266,6 +266,21 @@ def test_symmetric_fock_run_evolves_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_literal_fock_run_takes_chain_exponentials(monkeypatch):
+    # every literal stage is a single pair gate, so none reaches the
+    # Chebyshev sum; each runs once through pair_expm_apply
+    calls = []
+    pair, chebyshev = fock.pair_expm_apply, fock.expm_apply
+    monkeypatch.setattr(fock, "pair_expm_apply",
+                        lambda *args: calls.append("pair") or pair(*args))
+    monkeypatch.setattr(fock, "expm_apply",
+                        lambda *args: calls.append("chebyshev")
+                        or chebyshev(*args))
+    network.run_cloner(0.3 + 0.2j, network.network_from_lambda(0.8),
+                       backend="fock", truncation=20, method="literal")
+    assert calls == ["pair"] * 3
+
+
 def _spy_leak_labels(monkeypatch):
     labels = []
     real = fock._leak_check
