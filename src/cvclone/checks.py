@@ -189,9 +189,9 @@ def _check_unitarity(truncation: int):
     # the generators are real, so U is real and entry (i, j) of U^dag U is
     # U[:, i]^T U[:, j]: the interior block needs only the interior columns
     u = np.eye(d ** 3)[:, _interior_mask(d)]
-    # every stage is a pair squeezer on its two modes
-    for _, (i, j), s in spec.stages:
-        u = fock.pair_expm_apply("squeezer", (d,) * 3, i, j, s, u)
+    for st in spec.stages:
+        pair, i, j = fock._network_pair(st.kind)
+        u = fock.pair_expm_apply(pair, (d,) * 3, i, j, st.strength, u)
     resid = u.T @ u - np.eye(u.shape[1])
     worst = float(np.abs(resid).max())
     status = "pass" if worst < 1e-8 else "fail"

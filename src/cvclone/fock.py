@@ -8,7 +8,8 @@ matrix of two diagonals from the mode-major index and caches it, and
 two exponential actions on a state, one per kind of factor.
 ``pair_expm_apply`` applies a single pair gate exactly, from the
 photon-number chains its generator splits into: every literal network stage,
-the merged path's preparation and the pair gates of ``checks``.
+the merged path's preparation, the pair gates of ``checks`` and the balanced
+splitter of ``measurement.projector_form_check``.
 ``expm_apply`` sums a Chebyshev series for the rest: the merged path's mixed
 A/B factor, and the dense single-mode squeezer, which ``squeeze_matrix``
 builds by applying it to the identity. Then come reduced density matrices

@@ -315,10 +315,9 @@ def projector_form_check(phi: fock.FockVector, lam: float) -> float:
     rho_ca /= np.trace(rho_ca).real
 
     # the columns of the rotation with c in vacuum span the projector's range
-    gen = fock.pair_generator("splitter", (d, d), 0, 1)
-    w = fock.expm_apply((math.pi / 4.0) * gen,
-                        np.eye(d * d, dtype=np.complex128)[:, :d])
-    proj = w @ w.conj().T
+    w = fock.pair_expm_apply("splitter", (d, d), 0, 1, math.pi / 4.0,
+                             np.eye(d * d)[:, :d])
+    proj = w @ w.T
     kern = np.kron(np.outer(phi.amplitudes, phi.amplitudes.conj()), np.eye(d))
     target = 0.5 * (proj @ kern @ proj)
     target /= np.trace(target).real

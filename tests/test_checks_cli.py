@@ -772,21 +772,6 @@ def test_fock_paths_do_not_import_scipy_linalg():
     assert out.stdout.strip() == "False"
 
 
-def test_import_and_verify_load_no_scipy_linalg():
-    # the chain exponentials take numpy's eigh: a fresh verify pays no
-    # scipy.linalg import, and importing the package loads no scipy at all
-    script = (
-        "import sys\n"
-        "import cvclone\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "assert not any(r.failed for r in cvclone.checks.run_all(25))\n"
-        "print('scipy.linalg' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=_child_env())
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[]", "False"]
-
-
 _LOADED_SCIPY = (
     "import json, sys\n"
     "from cvclone import cli\n"
@@ -816,9 +801,12 @@ def test_commands_import_only_the_scipy_they_use(tmp_path):
     ]
     for argv in gaussian_runs:
         assert _scipy_modules_after(argv) == [], argv[0]
-    loaded = _scipy_modules_after(["verify", "--truncation", "12"])
-    assert "scipy.sparse" in loaded
-    assert "scipy.linalg" not in loaded
+    # at 25 the pair gates of unitarity and backend-equivalence take the
+    # chain exponentials, whose eigh is numpy's
+    for truncation in ("12", "25"):
+        loaded = _scipy_modules_after(["verify", "--truncation", truncation])
+        assert "scipy.sparse" in loaded
+        assert "scipy.linalg" not in loaded, truncation
 
 
 # every module sits on the ones before it; cvclone/__init__ gathers them all
