@@ -20,14 +20,19 @@ handed; the network's limit-form checks live in ``measurement``.
 
 ``expm_apply`` sums the Chebyshev expansion of exp(G) v (Tal-Ezer & Kosloff
 1984). G must be anti-Hermitian, which every truncated bilinear generator is
-exactly; then rho = ||G||_1 bounds ||G||_2, the weights are the Bessel values
-J_k(rho), and the number of terms is fixed from rho before the first product,
-so that the dropped tail is below 2^-53 ||v||_2. A generator that is not
-anti-Hermitian is refused. The recurrence runs in the promoted dtype of
-generator and vector, so a state with zero imaginary part evolves in real
-arithmetic and a complex one in complex arithmetic; ``pair_expm_apply`` keeps
-a real state real too. So ``apply_network_fock`` runs every state whose
-imaginary part is exactly zero as float64.
+exactly; then any rho >= ||G||_2 scales the series, the weights are the
+Bessel values J_k(rho), and the number of terms is fixed from rho before the
+first product, so that the dropped tail is below 2^-53 ||v||_2. rho is
+||G||_1, or a caller's tighter bound on ||G||_2: for the merged factor
+c1 A + c2 B that is |c1| ||A||_2 + |c2| ||B||_2, read off the chain spectra,
+0.79-0.85 of the 1-norm and 12-13% fewer terms. Each term is one in-place
+product into the older of two buffers, on a DIA matrix through scipy's raw
+routine (``_dia_matvec_add``, which checks what that routine does not). A
+generator that is not anti-Hermitian is refused. The recurrence runs in the
+promoted dtype of generator and vector, so a state with zero imaginary part
+evolves in real arithmetic and a complex one in complex arithmetic;
+``pair_expm_apply`` keeps a real state real too. So ``apply_network_fock``
+runs every state whose imaginary part is exactly zero as float64.
 
 Mode order for three-mode vectors is (c, a, b): c carries the input, a the
 second clone, b the ancilla. Index layout is mode-major,
@@ -352,7 +357,39 @@ def _is_anti_hermitian(mat) -> bool:
     return True
 
 
-def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
+def _dia_matvec_add(data: np.ndarray, offsets: np.ndarray, x: np.ndarray,
+                    y: np.ndarray) -> None:
+    """y += M x in place, for the square DIA matrix M of ``data``, ``offsets``.
+
+    The one call into scipy's private C routines behind ``dia_matrix @ x``,
+    ``dia_matvec`` for a vector (n,) and ``dia_matvecs`` for a block (n, k),
+    which add the product into their output array. M is n x n for n =
+    len(y); row r of ``data`` is the diagonal at offset ``offsets[r]``, entry
+    c in column c, of any width (entries past n are ignored, missing ones
+    count as zero). The routines check no bounds and write into a converted
+    copy of an output of another dtype, so everything is checked here: one
+    dtype for ``data``, ``x`` and ``y``, C-contiguous arrays, ``x`` of the
+    shape of ``y``, and one diagonal per offset.
+    """
+    from scipy.sparse import _sparsetools
+
+    if not (x.dtype == y.dtype == data.dtype and x.shape == y.shape
+            and 1 <= x.ndim <= 2 and data.ndim == 2 and offsets.ndim == 1
+            and offsets.shape[0] == data.shape[0]
+            and x.flags.c_contiguous and y.flags.c_contiguous
+            and data.flags.c_contiguous and offsets.flags.c_contiguous
+            and y.flags.writeable):
+        raise InvalidArgumentError("DIA product on mismatched arrays")
+    n = y.shape[0]
+    if x.ndim == 1:
+        _sparsetools.dia_matvec(n, n, offsets.shape[0], data.shape[1],
+                                offsets, data, x, y)
+    else:
+        _sparsetools.dia_matvecs(n, n, offsets.shape[0], data.shape[1],
+                                 offsets, data, x.shape[1], x, y)
+
+
+def expm_apply(mat, vec: np.ndarray, bound: float | None = None) -> np.ndarray:
     """exp(mat) @ vec for an anti-Hermitian mat.
 
     The exponential for factors that are not a single pair gate, which
@@ -364,20 +401,28 @@ def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
     sparse formats are converted once. ``vec`` is one vector (n,) or a block
     of columns (n, k); the result has the promoted dtype of ``mat`` and
     ``vec`` (at least float64), so a real generator on a real vector runs in
-    real arithmetic. A matrix that is not square and exactly anti-Hermitian
-    raises InvalidArgumentError: the expansion below holds only on the
-    imaginary axis.
+    real arithmetic. A matrix that is not square and exactly anti-Hermitian,
+    or a ``vec`` whose first axis is not its size, raises
+    InvalidArgumentError: the expansion below holds only on the imaginary
+    axis.
 
     The method is the Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81 (1984) 3967. For anti-Hermitian G the 1-norm equals the
-    inf-norm, so rho = ||G||_1 bounds ||G||_2, and with u_0 = v,
+    Phys. 81 (1984) 3967. Any rho >= ||G||_2 scales it: with u_0 = v,
     u_1 = G v / rho and u_(k+1) = (2 / rho) G u_k + u_(k-1),
 
         exp(G) v = sum_k (2 - delta_k0) J_k(rho) u_k.
 
     Each u_k is i^k T_k(G / i rho) v, so ||u_k||_2 <= ||v||_2 and cutting
     the sum where 2 sum_{k >= K} |J_k(rho)| < 2^-53 bounds the error by
-    2^-53 ||v||_2. The cut is fixed before the loop, from rho alone.
+    2^-53 ||v||_2. The cut is fixed before the loop, from rho alone, and
+    the smaller rho, the fewer terms. For anti-Hermitian G the 1-norm equals
+    the inf-norm, so ||G||_1 bounds ||G||_2; a caller that knows a tighter
+    ``bound`` on ||G||_2, as ``apply_network_fock`` does from the chain
+    spectra, passes it, and rho = min(bound, ||G||_1), so a bound only ever
+    tightens. A bound below the largest column 2-norm of G, itself a lower
+    bound on ||G||_2, is refused. Each term is one in-place product
+    u_(k-1) <- (2 / rho) G u_k + u_(k-1) on two rotating buffers: through
+    ``_dia_matvec_add`` for a DIA matrix, a dense product for an ndarray.
     """
     dense = isinstance(mat, np.ndarray)
     if not dense:
@@ -388,23 +433,44 @@ def expm_apply(mat, vec: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(
             "expm_apply needs an anti-Hermitian generator")
     v = np.asarray(vec)
+    if v.shape[:1] != mat.shape[:1] or v.ndim > 2:
+        raise InvalidArgumentError(
+            f"vector of shape {v.shape} for a generator of size "
+            f"{mat.shape[0]}")
     dtype = np.result_type(v.dtype, mat.dtype, np.float64)
-    if mat.dtype != dtype:
-        mat = mat.astype(dtype)
-    u_prev = np.array(v, dtype=dtype)
-    rho = float(np.abs(mat if dense else _full_width(mat)).sum(axis=0).max())
+    u_prev = np.array(v, dtype=dtype, order="C")
+    weights = np.abs(mat if dense else _full_width(mat))
+    rho = float(weights.sum(axis=0).max())
+    if bound is not None:
+        bound = float(bound)
+        floor = math.sqrt(float(np.square(weights, out=weights)
+                                .sum(axis=0).max()))
+        if not floor <= bound < math.inf:
+            raise InvalidArgumentError(
+                f"bound {bound} on ||G||_2 is below its largest column "
+                f"norm {floor} or not finite")
+        rho = min(bound, rho)
+    del weights             # before the scaled copy of the same size
     if rho == 0.0:
         return u_prev
     coef = _chebyshev_coefficients(rho)
-    step = mat * (2.0 / rho)
-    u = step @ u_prev
+    if dense:
+        scaled = mat.astype(dtype) * (2.0 / rho)
+
+        def step(x, y):
+            y += scaled @ x
+    else:
+        step = functools.partial(
+            _dia_matvec_add, np.multiply(mat.data, 2.0 / rho, dtype=dtype),
+            np.ascontiguousarray(mat.offsets))
+    u = np.zeros_like(u_prev)
+    step(u_prev, u)
     u *= 0.5
     out = coef[0] * u_prev + coef[1] * u
     scratch = np.empty_like(out)
     for c in coef[2:]:
-        nxt = step @ u
-        nxt += u_prev
-        u_prev, u = u, nxt
+        step(u, u_prev)
+        u_prev, u = u, u_prev
         np.multiply(u, c, out=scratch)
         out += scratch
     return out
@@ -420,6 +486,32 @@ def _finite_strength(value) -> float:
     if not math.isfinite(strength):
         raise InvalidArgumentError(f"gate strength {strength} is not finite")
     return strength
+
+
+def _chain_stack(kind: str, d_i: int, d_j: int) -> tuple:
+    """The chains of ``pair_generator(kind, (d_i, d_j), 0, 1)`` (see
+    ``_pair_chains``): the stack of symmetric S, padded to a common
+    length, then the chain and position of each flat (n_i, n_j) index, and
+    the length of each chain."""
+    gen = pair_generator(kind, (d_i, d_j), 0, 1)
+    n_i, n_j = np.divmod(np.arange(d_i * d_j), d_j)
+    chain = n_i - n_j if kind == "squeezer" else n_i + n_j
+    chain -= chain.min()
+    counts = np.bincount(chain)
+    # positions count n_i up from its lowest value on the chain
+    low = np.full(counts.size, d_i)
+    np.minimum.at(low, chain, n_i)
+    pos = n_i - low[chain]
+    # G[r, c] = data[c] on the diagonal at offset c - r: S keeps it above
+    # the chain's diagonal and flips its sign below
+    length = int(counts.max())
+    sym = np.zeros((counts.size, length, length))
+    for offset, data in zip(gen.offsets, _full_width(gen)):
+        col = np.flatnonzero(data)
+        row, col = pos[col - offset], col
+        sym[chain[col], row, pos[col]] = np.where(
+            pos[col] > row, data[col], -data[col])
+    return sym, chain, pos, counts
 
 
 # verify uses three tables: the squeezer at d = 8, squeezer and splitter at 25
@@ -449,27 +541,11 @@ def _pair_chains(kind: str, d_i: int, d_j: int) -> tuple:
     (chain, position), padding reading index 0, and the (chain, position)
     slot written back to each flat index.
     """
-    gen = pair_generator(kind, (d_i, d_j), 0, 1)
-    n_i, n_j = np.divmod(np.arange(d_i * d_j), d_j)
-    chain = n_i - n_j if kind == "squeezer" else n_i + n_j
-    chain -= chain.min()
-    counts = np.bincount(chain)
-    length = int(counts.max())
-    # positions count n_i up from its lowest value on the chain
-    low = np.full(counts.size, d_i)
-    np.minimum.at(low, chain, n_i)
-    pos = n_i - low[chain]
+    sym, chain, pos, counts = _chain_stack(kind, d_i, d_j)
+    length = sym.shape[1]
     scatter = chain * length + pos
     gather = np.zeros(counts.size * length, np.intp)
     gather[scatter] = np.arange(chain.size)
-    # G[r, c] = data[c] on the diagonal at offset c - r: S keeps it above
-    # the chain's diagonal and flips its sign below
-    sym = np.zeros((counts.size, length, length))
-    for offset, data in zip(gen.offsets, _full_width(gen)):
-        col = np.flatnonzero(data)
-        row, col = pos[col - offset], col
-        sym[chain[col], row, pos[col]] = np.where(
-            pos[col] > row, data[col], -data[col])
     vals, vecs = np.linalg.eigh(sym)
     step = np.arange(length)
     sign = np.array([1.0, 1.0, -1.0, -1.0])[step % 4]
@@ -482,6 +558,27 @@ def _pair_chains(kind: str, d_i: int, d_j: int) -> tuple:
     for arr in table:
         arr.flags.writeable = False         # the cache shares them
     return table
+
+
+# fock_clone's five truncations need ten norms, more tables than
+# _pair_chains keeps, so each norm is cached on its own
+@functools.lru_cache(maxsize=16)
+def _pair_norm(kind: str, d_i: int, d_j: int) -> float:
+    """||pair_generator(kind, dims, i, j)||_2 for dims[i], dims[j] = d_i, d_j.
+
+    The generator is a direct sum of copies of its two-mode chains, one per
+    spectator level, so its 2-norm is their largest |eigenvalue|. They come
+    from the solver of ``_pair_chains``, so they match its table's to the
+    bit, and the table itself is not kept.
+    """
+    return float(np.abs(np.linalg.eigh(
+        _chain_stack(kind, d_i, d_j)[0])[0]).max())
+
+
+def _network_norm(kind: str, dims: tuple) -> float:
+    """||build_generator(kind, dims)||_2, from the chain spectra."""
+    pair, i, j = _network_pair(kind)
+    return _pair_norm(pair, dims[i], dims[j])
 
 
 def pair_expm_apply(kind: str, dims, i: int, j: int, strength: float,
@@ -542,6 +639,27 @@ def _leak_check(vec: FockVector, where: str) -> FockVector:
     return vec
 
 
+def _merged_factor(dims: tuple, s2: float, s3: float) -> tuple:
+    """The mixed generator K = s2 cosh(s3) A + s2 sinh(s3) B on ``dims``, a
+    DIA matrix, and the bound (|c1| ||A||_2 + |c2| ||B||_2)(1 + 1e-12) on
+    ||K||_2 that scales its Chebyshev sum.
+
+    A and B lie on distinct diagonals, so K stacks their scaled full-width
+    data. The triangle bound is 0.79-0.85 of ||K||_1, and the slack, far
+    above the roundoff of the chain eigenvalues, keeps it a bound.
+    """
+    import scipy.sparse as sp
+
+    c1, c2 = s2 * math.cosh(s3), s2 * math.sinh(s3)
+    a, b = build_generator("A", dims), build_generator("B", dims)
+    mixed = sp.dia_matrix((np.concatenate((a.data * c1, b.data * c2)),
+                           np.concatenate((a.offsets, b.offsets))),
+                          shape=a.shape)
+    bound = (abs(c1) * _network_norm("A", dims)
+             + abs(c2) * _network_norm("B", dims)) * (1.0 + 1e-12)
+    return mixed, bound
+
+
 def apply_network_fock(spec, state: FockVector,
                        method: str = "merged") -> FockVector:
     """Run the three-stage network on a three-mode vector.
@@ -580,19 +698,11 @@ def apply_network_fock(spec, state: FockVector,
     elif tuple(st.kind for st in stages) != ("C", "A", "C"):
         raise InvalidArgumentError("merged path expects the C, A, C layout")
     else:
-        import scipy.sparse as sp
-
         s1, s2, s3 = strengths
         prep = s1 + s3
         factors = [(pair_factor("C", prep), "preparation")] if prep else []
-        # A and B lie on distinct diagonals, so the mixed factor stacks their
-        # scaled full-width data
-        a, b = build_generator("A", dims), build_generator("B", dims)
-        mixed = sp.dia_matrix(
-            (np.concatenate((a.data * (s2 * math.cosh(s3)),
-                             b.data * (s2 * math.sinh(s3)))),
-             np.concatenate((a.offsets, b.offsets))), shape=a.shape)
-        factors.append((functools.partial(expm_apply, mixed),
+        mixed, bound = _merged_factor(dims, s2, s3)
+        factors.append((lambda v: expm_apply(mixed, v, bound),
                         "merged network"))
     v = state.amplitudes
     if not v.imag.any():

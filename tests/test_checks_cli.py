@@ -620,6 +620,43 @@ def test_clone_fock_backend_reports_distance(capsys):
     assert m and float(m.group(1)) < 1e-3
 
 
+# Fock clone stdout, byte for byte: a change to the merged factor's term
+# count or product order moves roundoff, which must not reach these digits
+FOCK_CLONE_STDOUT = {
+    ("--truncation", "16", "--lambda", "3", "--alpha", "0.5,0.2"): (
+        'lambda = 3.00000000000e+00  sigma = 1.00000000000e+00'
+        '  backend = fock\n'
+        'gains: G1 = 5.09298385627e+01  G2 = 1.00994782119e+00'
+        '  G3 = 1.01357818061e+02\n'
+        'clone_c: mean = (5.02458233202e-01, 2.00983293281e-01)'
+        '  var = (5.03231594194e-01, 5.03273885171e-01)'
+        '  fidelity = 6.63726216844e-01\n'
+        'clone_a: mean = (4.99583201685e-01, 1.99833280674e-01)'
+        '  var = (5.00814624360e-01, 5.00820312465e-01)'
+        '  fidelity = 6.65934566335e-01\n'
+        'clone trace distance = 2.78065210949e-03\n'),
+    ("--truncation", "25", "--lambda", "6", "--sigma", "1.5",
+     "--alpha", "0.5,0.2"): (
+        'lambda = 6.00000000000e+00  sigma = 1.50000000000e+00'
+        '  backend = fock\n'
+        'gains: G1 = 4.06891978563e+04  G2 = 1.00002457705e+00'
+        '  G3 = 4.06891978563e+04\n'
+        'clone_c: mean = (4.99958570832e-01, 1.99998296015e-01)'
+        '  var = (8.12295340817e-01, 3.61107445831e-01)'
+        '  fidelity = 6.20504975800e-01\n'
+        'clone_a: mean = (4.99994339371e-01, 1.99999088517e-01)'
+        '  var = (8.12479144276e-01, 3.61111359341e-01)'
+        '  fidelity = 6.20503358876e-01\n'
+        'clone trace distance = 3.16376695410e-05\n'),
+}
+
+
+@pytest.mark.parametrize("args", list(FOCK_CLONE_STDOUT), ids=["T16", "T25"])
+def test_fock_clone_stdout_is_pinned(args, capsys):
+    assert cli.main(["clone", "--backend", "fock", *args]) == 0
+    assert capsys.readouterr().out == FOCK_CLONE_STDOUT[args]
+
+
 def _clone_a_var_y(text):
     m = re.search(r"clone_a: .* var = \((\S+), (\S+)\)", text)
     return float(m.group(2))

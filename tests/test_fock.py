@@ -325,22 +325,141 @@ def test_chebyshev_coefficients_are_bessel_values(rho):
     assert tail[len(coef)] < 2.0 ** -53 <= tail[len(coef) - 1]
 
 
-@pytest.mark.parametrize("lam", [1.0, 3.0, 12.0])
-def test_merged_run_at_d25_takes_under_160_products(monkeypatch, lam):
-    # at d = 25 the mixed factor's 1-norm is about 94 at every lam, for which
-    # the Chebyshev sum needs 145 products
+def _spy_products(monkeypatch):
+    """Record the shape of every DIA product of the Chebyshev loop."""
     products = []
-    matmul = sp.dia_matrix.__matmul__
+    real = fock._dia_matvec_add
 
-    def spy(mat, vec):
-        products.append(mat.shape)
-        return matmul(mat, vec)
+    def spy(data, offsets, x, y):
+        products.append(y.shape)
+        return real(data, offsets, x, y)
 
-    monkeypatch.setattr(sp.dia_matrix, "__matmul__", spy)
+    monkeypatch.setattr(fock, "_dia_matvec_add", spy)
+    return products
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0, 12.0])
+def test_merged_run_at_d25_takes_under_135_products(monkeypatch, lam):
+    # at d = 25 the chain bound on the mixed factor's 2-norm is about 80 at
+    # every lam, for which the Chebyshev sum needs 128 products (145 under
+    # its 1-norm, about 94)
+    products = _spy_products(monkeypatch)
     network.run_cloner(0.3 - 0.2j, network.network_from_lambda(lam),
                        backend="fock", truncation=25)
-    assert 0 < len(products) < 160
-    assert set(products) == {(25 ** 3, 25 ** 3)}
+    assert 0 < len(products) < 135
+    assert set(products) == {(25 ** 3,)}
+
+
+def _merged(d, lam):
+    s1, s2, s3 = (st.strength
+                  for st in network.network_from_lambda(lam).stages)
+    return fock._merged_factor((d,) * 3, s2, s3)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 10])
+def test_merged_bound_lies_between_the_two_norm_and_the_one_norm(d):
+    # the chain bound on ||K||_2 is an upper bound, 4-11% above the exact
+    # norm at these sizes, and at most 0.86 of the 1-norm it replaces
+    for lam in (0.05, 0.8, 3.0, 6.0, 12.0):
+        mixed, bound = _merged(d, lam)
+        dense = mixed.toarray()
+        assert bound >= np.abs(np.linalg.eigvals(dense)).max()
+        assert bound <= 0.86 * np.abs(dense).sum(axis=0).max()
+    # scaled by the bound, the sum still meets dense expm on both ends of
+    # the coupling range
+    if d <= 8:
+        rng = np.random.default_rng(d)
+        vec = rng.normal(size=d ** 3) + 1j * rng.normal(size=d ** 3)
+        vec /= np.linalg.norm(vec)
+        for lam in (0.8, 12.0):
+            mixed, bound = _merged(d, lam)
+            np.testing.assert_allclose(
+                fock.expm_apply(mixed, vec, bound),
+                scipy_expm(mixed.toarray()) @ vec, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, terms", [(12, 71), (16, 89), (20, 107),
+                                      (25, 129)])
+def test_merged_factor_term_counts(monkeypatch, d, terms):
+    # under the chain bound the same at every coupling; under the 1-norm the
+    # sums took 82, 102, 122 and 146 terms
+    products = _spy_products(monkeypatch)
+    vec = np.zeros(d ** 3)
+    vec[0] = 1.0
+    for lam in (1.0, 3.0, 8.0, 12.0):
+        products.clear()
+        mixed, bound = _merged(d, lam)
+        fock.expm_apply(mixed, vec, bound)
+        assert len(products) + 1 == terms
+
+
+def test_expm_apply_bound_only_tightens():
+    mixed, bound = _merged(6, 3.0)
+    one_norm = float(abs(mixed).sum(axis=0).max())
+    vec = np.random.default_rng(3).normal(size=6 ** 3)
+    # a bound above the 1-norm leaves the 1-norm in charge, to the bit
+    np.testing.assert_array_equal(fock.expm_apply(mixed, vec, 2.0 * one_norm),
+                                  fock.expm_apply(mixed, vec))
+    np.testing.assert_allclose(fock.expm_apply(mixed, vec, bound),
+                               fock.expm_apply(mixed, vec), rtol=0,
+                               atol=1e-13)
+    # no 2-norm lies below the largest column norm, nor is one infinite
+    column = float(np.sqrt(np.square(mixed.toarray()).sum(axis=0)).max())
+    for bad in (0.0, -1.0, 0.999 * column, math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError, match="bound"):
+            fock.expm_apply(mixed, vec, bad)
+    fock.expm_apply(mixed, vec, column * (1.0 + 1e-9))
+
+
+def test_expm_apply_refuses_vectors_of_the_wrong_shape():
+    gen = fock.build_generator("A", (4, 4, 4))
+    for mat in (gen, gen.toarray()):
+        for vec in (np.ones(63), np.ones(0), np.ones((64, 2, 2)),
+                    np.float64(1.0)):
+            with pytest.raises(InvalidArgumentError, match="shape"):
+                fock.expm_apply(mat, vec)
+    assert fock.expm_apply(gen, np.ones((64, 2))).shape == (64, 2)
+
+
+def test_dia_matvec_add_matches_scipy_product():
+    # the helper calls scipy's private routines: a release that changes
+    # them fails here, against the public dia_matrix product
+    rng = np.random.default_rng(29)
+    gen = fock.build_generator("A", (5, 5, 5))
+    a, b = fock.build_generator("A", (6, 6, 6)), fock.build_generator(
+        "B", (6, 6, 6))
+    mixed = fock._merged_factor((6, 6, 6), 0.7, 0.4)[0]
+    # gen on 130 levels, the last five idle: DIA data narrower than n
+    narrow = sp.dia_matrix((gen.data, gen.offsets), shape=(130, 130))
+    for mat in (a, b, mixed, narrow, 0.3j * narrow):
+        n = mat.shape[0]
+        data = np.ascontiguousarray(mat.data)
+        for shape in ((n,), (n, 3)):
+            for dtype in (np.float64, np.complex128):
+                if data.dtype == np.complex128 and dtype == np.float64:
+                    continue
+                x = rng.normal(size=shape).astype(dtype)
+                y = rng.normal(size=shape).astype(dtype)
+                if dtype == np.complex128:
+                    x += 1j * rng.normal(size=shape)
+                want = mat @ x + y
+                fock._dia_matvec_add(data.astype(dtype), mat.offsets, x, y)
+                np.testing.assert_allclose(y, want, rtol=0, atol=1e-13)
+    # it refuses what the C routine would read or write past
+    data, offsets = a.data, a.offsets
+    x, y = np.ones(216), np.zeros(216)
+    for args in ((data, offsets, np.ones(215), y),
+                 (data, offsets, x, np.zeros(215)),
+                 (data, offsets, x.astype(np.complex128), y),
+                 (data, offsets, x, y.astype(np.complex128)),
+                 (data, offsets, np.ones(432)[::2], y),
+                 (data, offsets[:1], x, y),
+                 (data, offsets, np.ones((216, 2)), np.zeros((216, 3))),
+                 (data, offsets, np.ones((216, 2, 1)), np.zeros((216, 2, 1))),
+                 (data, offsets, np.ones(()), np.zeros(())),
+                 (np.asfortranarray(data), offsets, x, y)):
+        with pytest.raises(InvalidArgumentError, match="mismatched"):
+            fock._dia_matvec_add(*args)
 
 
 def test_expm_apply_refuses_non_anti_hermitian_generators():

@@ -256,14 +256,15 @@ def test_symmetric_fock_run_evolves_once(monkeypatch):
     calls = []
     real = fock.expm_apply
 
-    def spy(mat, vec):
-        calls.append(mat.shape)
-        return real(mat, vec)
+    def spy(mat, vec, bound=None):
+        calls.append((mat.shape, bound is not None))
+        return real(mat, vec, bound)
 
     monkeypatch.setattr(fock, "expm_apply", spy)
     network.run_cloner(0.3 - 0.2j, network.network_from_lambda(3.0),
                        backend="fock", truncation=16)
-    assert len(calls) == 1
+    # the merged factor enters through the public name, with its chain bound
+    assert calls == [((16 ** 3, 16 ** 3), True)]
 
 
 def test_literal_fock_run_takes_chain_exponentials(monkeypatch):
