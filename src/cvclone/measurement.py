@@ -25,6 +25,15 @@ The frame uses that d-level unitary on purpose: on a 241 x 241 grid on
 [-12, 12]^2 at theta - phi = 0.2 (lam = 3, d = 16; lam = 0.5, d = 8) the
 grid integrates to within 2e-15 of 1 - q^d, where d x d blocks of the exact
 squeezer, which are not unitary, lose 1.2e-2 to 0.48 more.
+
+At an exact right angle E = 0 to roundoff (about 1e-19), and the outcome
+grid z = delta w(x, x') has w(-x, x') = conj w(x, x'). Reflecting an axis
+symmetric about 0 then maps each displacement to a phase times its
+conjugate, and ``povm_density_grid`` hands the kernel the 2-D grid so that
+it builds displacement columns for one quadrant (see
+``_kernels.povm_grid_values``). Angles that miss pi/2 by more than the
+kernel's tolerance, such as theta - phi = 1.5707963, keep the z -> -z
+mirror only.
 """
 
 from __future__ import annotations
@@ -160,10 +169,9 @@ def povm_density_grid(params: PovmParams, xs, xps, input_state) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     xps = np.asarray(xps, dtype=float)
     gx, gp = np.meshgrid(xs, xps, indexing="ij")
-    zs = (params.alpha_of(gx, gp) * params.delta).ravel()
-    vals = _kernels.povm_grid_values(zs, s_dag, factor, weights,
+    zs = params.alpha_of(gx, gp) * params.delta
+    return _kernels.povm_grid_values(zs, s_dag, factor, weights,
                                      params.prefactor)
-    return vals.reshape(gx.shape)
 
 
 def clone_a_coefficient_rows(lam: float):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -655,6 +656,34 @@ FOCK_CLONE_STDOUT = {
 def test_fock_clone_stdout_is_pinned(args, capsys):
     assert cli.main(["clone", "--backend", "fock", *args]) == 0
     assert capsys.readouterr().out == FOCK_CLONE_STDOUT[args]
+
+
+# povm stdout, as SHA-256 of its bytes, for the grids that have no exact
+# reflection: theta = 1.5707963 misses the right angle by E = 5.6e-11, past
+# the reflection tolerance, and theta = 0.2 is oblique. Both keep the flat
+# z -> -z mirror, so not one byte may move.
+POVM_STDOUT_SHA256 = {
+    ("--lambda", "3", "--phi", "0", "--theta", "1.5707963",
+     "--grid", "41,4.0"):
+        "782a6e06cb6d12b32783b571e12fd0f71d9e2529bdeacf1c0387199cde10a467",
+    ("--lambda", "12", "--phi", "0", "--theta", "1.5707963",
+     "--grid", "81,5.0"):
+        "2e97ff3b9f426e6e1b295b307d52eebe38a515879158b3703bdd9731ebf76be4",
+    ("--truncation", "32", "--lambda", "8", "--phi", "0",
+     "--theta", "1.5707963", "--alpha", "1,0.5", "--grid", "81,5.0"):
+        "ba730d6a8fc7738d525d507f1096c9d6933f7dadf9d904c768972521d730ce4c",
+    ("--lambda", "3", "--phi", "0", "--theta", "0.2", "--grid", "81,8.0"):
+        "affc9e74102958a24173ece92a904fec288e628ce87aa48abd0e09fc76e57fb8",
+}
+
+
+@pytest.mark.parametrize("args", list(POVM_STDOUT_SHA256),
+                         ids=["lam3", "lam12", "lam8", "oblique"])
+def test_povm_stdout_is_pinned(args, capsys):
+    assert cli.main(["povm", *args]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        POVM_STDOUT_SHA256[args]
 
 
 def _clone_a_var_y(text):

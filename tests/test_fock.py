@@ -834,6 +834,47 @@ def test_smeared_mixture_input_checks():
         fock.smeared_mixture(fock.vacuum_fock((8,)), {"width": 3.0})
 
 
+def _two_builds(ts, rows, ncols):
+    batch = _kernels.displacement_columns_batch
+    return batch(1j * ts, rows, ncols), batch(-ts, rows, ncols)
+
+
+@pytest.mark.parametrize("f_spec", ["symmetric", {"width": 0.05},
+                                    {"width": 0.7}, {"width": 2.0},
+                                    {"sigma": 1}])
+def test_symmetric_smear_takes_one_build_bit_for_bit(monkeypatch, f_spec):
+    # D(i t) and D(-t) read off one build of D(t) give the mixture two
+    # builds give, to the last bit
+    for dim in (8, 16, 24, 32):
+        for alpha in (0.4 - 0.3j, 1 + 0.5j):
+            base = fock.coherent_fock(alpha, dim)
+            try:
+                one = fock.smeared_mixture(base, f_spec).matrix
+            except GridTooCoarseError:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(fock, "_symmetric_smear_blocks", _two_builds)
+                two = fock.smeared_mixture(base, f_spec).matrix
+            assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("f_spec,builds", [
+    ("symmetric", 1), ({"width": 0.5}, 1), ({"sigma": 1}, 1),
+    ({"sigma": 1.5}, 2), ({"sigma": 0.5}, 2)])
+def test_smeared_mixture_counts_its_displacement_builds(monkeypatch, f_spec,
+                                                        builds):
+    seen = []
+    batch = _kernels.displacement_columns_batch
+
+    def spy(zs, rows, ncols):
+        seen.append(len(zs))
+        return batch(zs, rows, ncols)
+
+    monkeypatch.setattr(_kernels, "displacement_columns_batch", spy)
+    fock.smeared_mixture(fock.coherent_fock(0.3, 24), f_spec)
+    assert seen == [41] * builds
+
+
 def _full_grid_mixture(rho, wx, wy, grid):
     """Unnormalized sum of w D(z) rho D(z)^dag over every node of the grid."""
     nodes, wts = hermgauss(grid)

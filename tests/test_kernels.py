@@ -83,6 +83,25 @@ def test_batch_shape_and_consistency():
         np.testing.assert_allclose(batch[k], single, atol=1e-14)
 
 
+def test_displacement_symmetries_hold_bit_for_bit():
+    # one build serves a symmetric smear's two passes, and one quadrant an
+    # outcome grid at a right angle, because the diagonal recurrence keeps
+    # D(conj z) = conj D(z), D(i t) = i^(m-n) D(t) and
+    # D(-z) = (-1)^(m+n) D(z) exactly
+    rng = np.random.default_rng(30)
+    dim = 64
+    zs = 7.0 * np.sqrt(rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
+    ts = np.concatenate([np.linspace(-7.0, 7.0, 57), rng.normal(size=20)])
+    m, n = np.ogrid[:dim, :dim]
+    quarter = np.array([1.0, 1j, -1.0, -1j])[(m - n) % 4]
+    batch = _kernels.displacement_columns_batch
+    d = batch(zs, dim, dim)
+    assert np.array_equal(batch(zs.conj(), dim, dim), d.conj())
+    assert np.array_equal(batch(-zs, dim, dim), (-1.0) ** (m + n) * d)
+    assert np.array_equal(batch(1j * ts, dim, dim), quarter * batch(ts, dim,
+                                                                    dim))
+
+
 def _scatter_columns(zs, dim, ncols):
     """The diagonal recurrence for one z at a time, <m|D(z)|n>."""
     rows = max(dim, ncols)

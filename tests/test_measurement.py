@@ -163,8 +163,18 @@ def test_tiny_densities_match_high_precision_reference():
     # --phi 0 --theta 1.5707963 --alpha 1,0.5 --grid 81,5.0`, near 1e-29,
     # against 40 digits with the same squeezer and probe: the factor form
     # measured 1.4e-10 to 4.9e-10, the density-matrix form 2.9e-5 to 2.1e-4
+    _check_tiny_densities(1.5707963)
+
+
+def test_tiny_reflected_densities_match_high_precision_reference():
+    # at an exact right angle the grid reads three quarters of its points
+    # off reflections of the built quadrant
+    _check_tiny_densities(RIGHT)
+
+
+def _check_tiny_densities(theta):
     mp = pytest.importorskip("mpmath")
-    p = measurement.povm_params(8.0, 0.0, 1.5707963)
+    p = measurement.povm_params(8.0, 0.0, theta)
     dim = 32
     probe = fock.coherent_fock(1 + 0.5j, dim)
     xs = np.linspace(-5.0, 5.0, 81)
@@ -285,14 +295,24 @@ def test_non_finite_grid_points_leave_the_others_exact(xs):
     assert np.abs(got[np.isfinite(xs)] - expect).max() < 1e-14
 
 
-@pytest.mark.parametrize("xs,xps,points", [
-    (np.linspace(-5.0, 5.0, 41), np.linspace(-5.0, 5.0, 41), 841),
-    (np.linspace(-5.0, 5.0, 40), np.linspace(-5.0, 5.0, 40), 800),
-    (np.linspace(-5.0, 5.0, 41), np.linspace(-5.0, 5.0, 41) + 0.1, 1681),
-    (np.linspace(-5.0, 4.0, 40), np.linspace(-5.0, 5.0, 40), 1600),
+@pytest.mark.parametrize("xs", [
+    np.array([-1.0, np.nan, 2.0]),
+    np.array([-2.0, np.inf, 2.0]),
+    np.array([-np.inf, 0.0, np.inf]),
 ])
-def test_symmetric_grids_build_half_the_columns(monkeypatch, xs, xps,
-                                                points):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_points_on_the_second_axis_leave_the_others_exact(xs):
+    # at a right angle a NaN or inf must not pass any reflection check
+    p = _params3()
+    vec = fock.coherent_fock(0.4 - 0.2j, 12)
+    xps, keep = xs, np.isfinite(xs)
+    xs = np.array([-0.5, 0.0, 0.5])
+    got = measurement.povm_density_grid(p, xs, xps, vec)
+    expect = _density_loop(p, xs, xps[keep], vec)
+    assert np.abs(got[:, keep] - expect).max() < 1e-14
+
+
+def _counting_columns(monkeypatch):
     seen = []
     batch = _kernels.displacement_columns_batch
 
@@ -301,9 +321,70 @@ def test_symmetric_grids_build_half_the_columns(monkeypatch, xs, xps,
         return batch(zs, dim, ncols)
 
     monkeypatch.setattr(_kernels, "displacement_columns_batch", spy)
+    return seen
+
+
+@pytest.mark.parametrize("xs,xps,points", [
+    (np.linspace(-5.0, 5.0, 41), np.linspace(-5.0, 5.0, 41), 441),
+    (np.linspace(-5.0, 5.0, 40), np.linspace(-5.0, 5.0, 40), 400),
+    (np.linspace(-5.0, 5.0, 41), np.linspace(-5.0, 5.0, 41) + 0.1, 861),
+    (np.linspace(-5.0, 4.0, 40), np.linspace(-5.0, 5.0, 40), 800),
+])
+def test_symmetric_grids_build_a_quadrant_of_the_columns(monkeypatch, xs,
+                                                         xps, points):
+    # at an exact right angle each axis symmetric about 0 halves the
+    # columns built
+    seen = _counting_columns(monkeypatch)
     measurement.povm_density_grid(_params3(), xs, xps,
                                   fock.coherent_fock(0.3, 12))
     assert seen == [points]
+
+
+@pytest.mark.parametrize("theta", [1.5707963, 0.2])
+def test_grids_without_a_reflection_build_the_mirror_half(monkeypatch,
+                                                          theta):
+    # off an exact right angle only z -> -z maps the grid onto itself
+    seen = _counting_columns(monkeypatch)
+    xs = np.linspace(-5.0, 5.0, 41)
+    measurement.povm_density_grid(measurement.povm_params(3.0, 0.0, theta),
+                                  xs, xs, fock.coherent_fock(0.3, 12))
+    assert seen == [841]
+
+
+@pytest.mark.parametrize("phi", [0.6, 2.3])
+@pytest.mark.parametrize("xs,xps,points", [
+    (np.linspace(-5.0, 5.0, 41), np.linspace(-5.0, 5.0, 41), 441),
+    (np.linspace(-5.0, 5.0, 40), np.linspace(-4.0, 4.0, 31), 320),
+    (np.linspace(-5.0, 5.0, 41), np.linspace(-4.0, 5.0, 30), 630),
+    (np.linspace(-4.0, 5.0, 23), np.linspace(-5.0, 5.0, 40), 460),
+    (np.linspace(-3.0, 3.0, 7), np.linspace(-3.0, 3.0, 2), 4),
+])
+def test_reflected_grids_match_point_loop(monkeypatch, phi, xs, xps,
+                                          points):
+    # a displaced input and a delta off the real axis make every reflection
+    # carry its own phase and parity
+    p = measurement.povm_params(4.0, phi, phi + RIGHT)
+    assert abs(p.delta.imag) > 0.1 * abs(p.delta)
+    vec = fock.coherent_fock(0.5 - 0.3j, 14)
+    expect = _density_loop(p, xs, xps, vec)
+    seen = _counting_columns(monkeypatch)
+    got = measurement.povm_density_grid(p, xs, xps, vec)
+    assert seen == [points]
+    # the loop's density-matrix form is itself off by up to 7e-11 relative
+    # in the tail, below 1e-20, so the tail is held to the grid's maximum
+    np.testing.assert_allclose(got, expect, rtol=1e-12,
+                               atol=1e-14 * expect.max())
+
+
+@pytest.mark.parametrize("xs,xps", [
+    (np.array([]), np.linspace(-1.0, 1.0, 3)),
+    (np.linspace(-1.0, 1.0, 3), np.array([])),
+    (np.array([]), np.array([])),
+])
+def test_an_empty_axis_gives_an_empty_grid(xs, xps):
+    got = measurement.povm_density_grid(_params3(), xs, xps,
+                                        fock.coherent_fock(0.3, 12))
+    assert got.shape == (len(xs), len(xps))
 
 
 def test_density_accepts_density_matrix_input():
