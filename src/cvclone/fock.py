@@ -841,18 +841,24 @@ def _grid_size(grid) -> int:
     return grid
 
 
-def _symmetric_smear_blocks(ts, rows, ncols):
-    """D(i t) and D(-t) blocks for real t from one displacement build.
+def _smear_blocks(xs, ys, rows, ncols):
+    """D(i ys) and D(-xs) blocks for real steps, from D(ys) and D(xs).
 
     D(i t)[m, n] = i^(m-n) D(t)[m, n] and D(-t)[m, n] = (-1)^(m+n) D(t)[m, n].
     The diagonal recurrence keeps both bit for bit: for a real or imaginary
-    z every product it takes has one zero part, and the patterns are exact
-    multiplications by 1, i, -1 and -i.
+    t every product it takes has one zero part, and the patterns are exact
+    multiplications by 1, i, -1 and -i. Equal steps, a symmetric smear,
+    take one build for both blocks.
     """
-    base = _kernels.displacement_columns_batch(ts, rows, ncols)
+    base_y = _kernels.displacement_columns_batch(ys, rows, ncols)
+    base_x = (base_y if np.array_equal(xs, ys)
+              else _kernels.displacement_columns_batch(xs, rows, ncols))
     m, n = np.ogrid[:rows, :ncols]
-    quarter = np.array([1.0, 1j, -1.0, -1j])[(m - n) % 4]
-    return base * quarter, base * (-1.0) ** (m + n)
+    up = base_y * np.array([1.0, 1j, -1.0, -1j])[(m - n) % 4]
+    # (-1)^(m+n) in place, once up has read base_y
+    base_x[:, 1::2, ::2] *= -1.0
+    base_x[:, ::2, 1::2] *= -1.0
+    return up, base_x
 
 
 def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
@@ -868,13 +874,14 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     returns the factor [sqrt(w_v) D(ib_v) L]_v of inner, which pass 2 takes
     as it is unless it has more columns than rows, as for a full-rank input
     or a short ladder; then the eigenvector factor of inner is narrower and
-    replaces it. A symmetric smear, wx = wy, builds its displacements once
-    (``_symmetric_smear_blocks``); the passes take them bit for bit as two
-    builds would. The factoring is exact on an untruncated ladder, so the
-    inner state lives on a longer ladder, padded by the reach of the wider
-    smear. A smear that adds more photons, (wx^2 + wy^2)/4 on average, than
-    the ladder has levels is refused before any work: there even a vacuum
-    keeps less than 0.7 of its trace, far from the 1e-4 the result may lose.
+    replaces it. Both passes read their blocks off real displacements
+    (``_smear_blocks``), bit for bit as direct builds of D(ib_v) and D(-a_u)
+    would give them; a symmetric smear, wx = wy, takes one build for both.
+    The factoring is exact on an untruncated ladder, so the inner state
+    lives on a longer ladder, padded by the reach of the wider smear. A
+    smear that adds more photons, (wx^2 + wy^2)/4 on average, than the
+    ladder has levels is refused before any work: there even a vacuum keeps
+    less than 0.7 of its trace, far from the 1e-4 the result may lose.
     """
     factor = _factor(phi)
     grid = _grid_size(grid)
@@ -893,11 +900,7 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     # D(a)[:dim, :wide] = D(-a)[:wide, :dim]^T for real a, so both passes
     # build dim columns on the wide ladder
     steps = nodes / math.sqrt(2.0)
-    if wx == wy:
-        up, down = _symmetric_smear_blocks(wx * steps, wide, dim)
-    else:
-        up = _kernels.displacement_columns_batch(1j * wy * steps, wide, dim)
-        down = _kernels.displacement_columns_batch(-wx * steps, wide, dim)
+    up, down = _smear_blocks(wx * steps, wy * steps, wide, dim)
     inner, factor = _kernels.smear_accumulate(up, wts, factor)
     if factor.shape[1] > wide:
         factor = _eigen_factor(inner)

@@ -834,17 +834,18 @@ def test_smeared_mixture_input_checks():
         fock.smeared_mixture(fock.vacuum_fock((8,)), {"width": 3.0})
 
 
-def _two_builds(ts, rows, ncols):
+def _two_builds(xs, ys, rows, ncols):
     batch = _kernels.displacement_columns_batch
-    return batch(1j * ts, rows, ncols), batch(-ts, rows, ncols)
+    return batch(1j * ys, rows, ncols), batch(-xs, rows, ncols)
 
 
 @pytest.mark.parametrize("f_spec", ["symmetric", {"width": 0.05},
                                     {"width": 0.7}, {"width": 2.0},
-                                    {"sigma": 1}])
-def test_symmetric_smear_takes_one_build_bit_for_bit(monkeypatch, f_spec):
-    # D(i t) and D(-t) read off one build of D(t) give the mixture two
-    # builds give, to the last bit
+                                    {"sigma": 1}, {"sigma": 1.5},
+                                    {"sigma": 0.5}])
+def test_smear_blocks_give_two_direct_builds_bit_for_bit(monkeypatch, f_spec):
+    # D(i t) and D(-t) read off builds of D(t) give the mixture direct
+    # builds give, to the last bit, with one build or two
     for dim in (8, 16, 24, 32):
         for alpha in (0.4 - 0.3j, 1 + 0.5j):
             base = fock.coherent_fock(alpha, dim)
@@ -853,7 +854,7 @@ def test_symmetric_smear_takes_one_build_bit_for_bit(monkeypatch, f_spec):
             except GridTooCoarseError:
                 continue
             with monkeypatch.context() as patch:
-                patch.setattr(fock, "_symmetric_smear_blocks", _two_builds)
+                patch.setattr(fock, "_smear_blocks", _two_builds)
                 two = fock.smeared_mixture(base, f_spec).matrix
             assert np.array_equal(one, two)
 
