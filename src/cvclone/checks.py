@@ -86,17 +86,21 @@ def _sector_rows(lam: float, win: int, ncols: int) -> np.ndarray:
     alpha = np.arange(win, dtype=float)[:, None]
     beta = np.arange(span, dtype=float)[None, :]
     ab = alpha + beta
-    # jac[n, k, beta] = P_n^(k, beta)(x)
+    # jac[n, k, beta] = P_n^(k, beta)(x), filled for k < win - n only: the
+    # rows read degree lo in sector k with lo + k < win
     jac = np.empty((win, win, span))
     jac[0] = 1.0
     if win > 1:
-        jac[1] = (alpha + 1.0) + (ab + 2.0) * (x - 1.0) * 0.5
+        jac[1, :-1] = (alpha[:-1] + 1.0) + (ab[:-1] + 2.0) * (x - 1.0) * 0.5
     for n in range(2, win):
-        c = 2.0 * n + ab
-        jac[n] = ((c - 1.0) * (c * (c - 2.0) * x + alpha ** 2 - beta ** 2)
-                  * jac[n - 1]
-                  - 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * c * jac[n - 2]
-                  ) / (2.0 * n * (n + ab) * (c - 2.0))
+        m = win - n
+        ks, kb = alpha[:m], ab[:m]
+        c = 2.0 * n + kb
+        jac[n, :m] = ((c - 1.0) * (c * (c - 2.0) * x + ks ** 2 - beta ** 2)
+                      * jac[n - 1, :m]
+                      - 2.0 * (n + ks - 1.0) * (n + beta - 1.0) * c
+                      * jac[n - 2, :m]
+                      ) / (2.0 * n * (n + kb) * (c - 2.0))
     col = np.arange(ncols)
     power = math.tanh(lam) ** np.arange(span)
     level = np.arange(1.0, span)
@@ -122,14 +126,23 @@ def _window_rows(lam: float, win: int) -> np.ndarray:
     rows decay like tanh(lam)^n out there, so the tail beyond is smaller
     still, and by Cauchy-Schwarz a product of two rows over the kept levels
     misses less than 1e-20 per unit weight.
+
+    Every entry of ``_sector_rows`` is computed elementwise along the column
+    axis, so a table on fewer levels is a bit-for-bit prefix of one on more.
+    So the table is built once, one growth step past the start, where the
+    growth stops for every strength at truncations 18-32, and the start is
+    judged on its prefix. A count past that table, which some strengths
+    need below truncation 18, is built anew at that count.
     """
     ncols = int(math.ceil(2.0 * win * math.exp(2.0 * lam)))
+    rows = _sector_rows(lam, win, ncols + ncols // 2)
     while True:
-        rows = _sector_rows(lam, win, ncols)
-        tail = float((rows[..., -(ncols // 4):] ** 2).sum(axis=-1).max())
+        if ncols > rows.shape[-1]:
+            rows = _sector_rows(lam, win, ncols)
+        tail = rows[..., ncols - ncols // 4:ncols]
         # a NaN stops the growth too, and the check then reports it
-        if not tail >= 1e-20:
-            return rows
+        if not float((tail ** 2).sum(axis=-1).max()) >= 1e-20:
+            return rows[..., :ncols]
         ncols += ncols // 2
 
 
@@ -146,7 +159,9 @@ def _check_bch(truncation: int):
     polynomial (Perelomov, Generalized Coherent States and Their
     Applications, Springer 1986). The products sum over as many levels of
     each chain as ``_window_rows`` finds the rows need, so no truncation edge
-    reaches the window.
+    reaches the window. It builds one table per strength at truncations
+    18-32: a table on fewer levels is a bit-for-bit prefix of one on more,
+    so each smaller level count is judged on that table's prefix.
     """
     win = truncation - GUARD_BAND
     worst = 0.0
@@ -302,12 +317,14 @@ def _check_weyl_covariance(truncation: int, seed: int):
     base = network.run_cloner(0j, spec, backend="fock", truncation=d)
     gain_amp = math.cosh(2.0 * math.exp(-lam))
     rng = np.random.default_rng(seed)
+    alphas = [complex(rng.uniform(-0.49, 0.49), rng.uniform(-0.49, 0.49))
+              for _ in range(5)]
+    # the batch axis is elementwise, so each block is its single-point build
+    disps = _kernels.displacement_columns_batch(
+        np.array([gain_amp * alpha for alpha in alphas]), d, d)
     worst = 0.0
-    for _ in range(5):
-        alpha = complex(rng.uniform(-0.49, 0.49), rng.uniform(-0.49, 0.49))
+    for alpha, disp in zip(alphas, disps):
         moved = network.run_cloner(alpha, spec, backend="fock", truncation=d)
-        disp = _kernels.displacement_columns_batch(
-            np.array([gain_amp * alpha]), d, d)[0]
         shifted = disp @ base.clone_c.matrix @ disp.conj().T
         worst = float(np.maximum(
             worst, fock.trace_distance(moved.clone_c, shifted)))

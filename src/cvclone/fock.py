@@ -749,6 +749,8 @@ class DensityMatrix:
 
     def quadrature_moments(self, phase: float):
         """Mean and variance of cos(phase) X + sin(phase) Y."""
+        if not math.isfinite(phase):
+            raise InvalidArgumentError("phase must be finite")
         a = annihilation_matrix(self.dim)
         quad = 0.5 * (a * np.exp(-1j * phase) + a.conj().T * np.exp(1j * phase))
         mean = float(np.trace(self.matrix @ quad).real)

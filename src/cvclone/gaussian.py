@@ -214,6 +214,8 @@ def reduce(state: GaussianState, keep) -> GaussianState:
 def quadrature_moments(state: GaussianState, mode: int, phase: float):
     """Mean and variance of cos(phase) X + sin(phase) Y on one mode."""
     i = 2 * _check_mode(state.n_modes, mode)
+    if not math.isfinite(phase):
+        raise InvalidArgumentError("phase must be finite")
     c, s = math.cos(phase), math.sin(phase)
     mean = c * state.mean[i] + s * state.mean[i + 1]
     v = state.cov

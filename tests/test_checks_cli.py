@@ -170,6 +170,60 @@ def test_window_rows_have_unit_norm(truncation):
             assert np.abs(norms - 1.0).max() < 1e-13, (lam, k)
 
 
+
+def _grown_window_rows(lam, win):
+    # the growth loop that builds a whole table at every size it tries
+    ncols = int(math.ceil(2.0 * win * math.exp(2.0 * lam)))
+    while True:
+        rows = checks._sector_rows(lam, win, ncols)
+        tail = float((rows[..., -(ncols // 4):] ** 2).sum(axis=-1).max())
+        if not tail >= 1e-20:
+            return rows
+        ncols += ncols // 2
+
+
+@pytest.mark.parametrize("truncation", [12, 13, 16, 25, 32])
+@pytest.mark.parametrize("lam", checks._BCH_STRENGTHS)
+def test_window_rows_equal_a_build_at_every_size(truncation, lam):
+    win = truncation - checks.GUARD_BAND
+    assert np.array_equal(checks._window_rows(lam, win),
+                          _grown_window_rows(lam, win))
+
+
+@pytest.mark.parametrize("win, n, m", [(8, 3, 45), (8, 7, 8), (8, 30, 67),
+                                       (21, 5, 77), (21, 77, 115),
+                                       (21, 463, 694)])
+@pytest.mark.parametrize("lam", checks._BCH_STRENGTHS)
+def test_sector_rows_on_fewer_levels_are_a_prefix(lam, win, n, m):
+    # below win columns the Jacobi table still spans win gaps
+    assert np.array_equal(checks._sector_rows(lam, win, n),
+                          checks._sector_rows(lam, win, m)[..., :n])
+
+
+@pytest.mark.parametrize("truncation, builds", [(12, [2, 2, 2]),
+                                                (17, [1, 1, 2]),
+                                                (18, [1, 1, 1]),
+                                                (25, [1, 1, 1]),
+                                                (32, [1, 1, 1])])
+def test_bch_check_builds_each_window_once(monkeypatch, truncation, builds):
+    # the growth stops one step past its start at truncations 18-32, where
+    # the one table is built; below that some strengths need one more step
+    win = truncation - checks.GUARD_BAND
+    final = [_grown_window_rows(lam, win).shape[-1]
+             for lam in checks._BCH_STRENGTHS]
+    sizes = {lam: [] for lam in checks._BCH_STRENGTHS}
+    build = checks._sector_rows
+
+    def spy(lam, win, ncols):
+        sizes[lam].append(ncols)
+        return build(lam, win, ncols)
+
+    monkeypatch.setattr(checks, "_sector_rows", spy)
+    status, detail = checks._check_bch(truncation)
+    assert status == "pass", detail
+    assert [len(got) for got in sizes.values()] == builds
+    assert [got[-1] for got in sizes.values()] == final
+
 def _padded_chain_rows(lam, weights, rows):
     # rows of exp(lam G) for a chain cut at weights.size + 1 levels: G is
     # diag(i^m) (-i T) diag(i^-m) with T = Q diag(theta) Q^T symmetric, so

@@ -95,6 +95,17 @@ def test_coherent_fock_refuses_non_finite_amplitude(alpha):
         fock.coherent_fock(alpha, 16)
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_density_quadrature_moments_refuse_a_non_finite_phase(phase):
+    # a non-finite phase once returned (nan, nan) after a RuntimeWarning
+    # from np.exp
+    rho = fock.DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    with pytest.raises(InvalidArgumentError, match="^phase must be finite$"):
+        rho.quadrature_moments(phase)
+
 def test_single_mode_inputs_convert_alike():
     # a vector is one normalised column; a density matrix, full rank or
     # not, gives L with L L^H equal to its matrix

@@ -82,6 +82,15 @@ def test_quadrature_moments_rotation():
         assert var == pytest.approx(0.25, abs=1e-14)
 
 
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_quadrature_moments_refuse_a_non_finite_phase(phase):
+    # a non-finite phase once returned (nan, nan)
+    st = gaussian.displace(gaussian.vacuum_state(1), 0, 1.0 + 2.0j)
+    with pytest.raises(InvalidArgumentError, match="^phase must be finite$"):
+        gaussian.quadrature_moments(st, 0, phase)
+
 def test_reduce_preserves_requested_order():
     st = gaussian.displace(gaussian.vacuum_state(3), 1, 2.0 + 0j)
     sub = gaussian.reduce(st, [2, 1])

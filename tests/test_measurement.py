@@ -121,9 +121,10 @@ def test_completeness_integral():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the thermal sum and "
-                   "the squeezed frame stop at the truncation, so an oblique "
-                   "grid integrates to 1 - q^d")
+@pytest.mark.xfail(strict=True, reason="ROADMAP, complete outcome densities "
+                   "at every angle: the thermal sum and the squeezed frame "
+                   "stop at the truncation, so an oblique grid integrates to "
+                   "1 - q^d")
 def test_completeness_integral_at_an_oblique_angle():
     # q = 0.669 here, and the grid integrates to 0.998408 = 1 - q^16
     p = measurement.povm_params(3.0, 0.0, 0.2)
@@ -139,8 +140,8 @@ def test_completeness_integral_at_an_oblique_angle():
 def test_oblique_grid_keeps_all_but_the_dropped_thermal_mass(lam, dim, alpha):
     # the d-level unitary frame loses exactly q^d at theta - phi = 0.2 (up
     # to 1.8e-15 measured); a frame of exact squeezer elements on d levels
-    # lost 1.2e-2 to 0.48 more here. Complete densities (ROADMAP item 5)
-    # keep this bound.
+    # lost 1.2e-2 to 0.48 more here. Complete outcome densities at every
+    # angle (ROADMAP) keep this bound.
     p = measurement.povm_params(lam, 0.0, 0.2)
     xs = np.linspace(-12.0, 12.0, 241)
     grid = measurement.povm_density_grid(p, xs, xs,
