@@ -28,7 +28,9 @@ bit: D(conj z) = conj D(z), D(i t) = i^(m-n) D(t) for real t, and
 D(-z) = (-1)^(m+n) D(z). With D(e^(i phi) z) = R D(z) R^dag,
 R = diag(e^(i m phi)), they let ``povm_grid_values`` build one quadrant of a
 right-angle outcome grid and ``fock.smeared_mixture`` one block for both
-passes of a symmetric smear.
+passes of a symmetric smear. For real t, D(t) is real, and the recurrence
+builds it in float64: the smear's steps are real, and its second pass
+multiplies the real blocks in real arithmetic.
 """
 
 from __future__ import annotations
@@ -42,14 +44,19 @@ _MIRROR_TOL = 16 * np.finfo(np.float64).eps
 def displacement_columns_batch(zs, dim, ncols):
     """<m|D(z)|n> for m < dim, n < ncols, for every z in the batch.
 
-    Returns a (len(zs), dim, ncols) complex array. It is a transposed view of
-    an (ncols, rows, len(zs)) buffer, rows = max(dim, ncols): each diagonal
-    step writes one contiguous block, buf[n, n:] = t_n, and the batch is the
-    contiguous axis, so the upper triangle is copied one batch row at a time.
+    Returns a (len(zs), dim, ncols) array, float64 for real ``zs`` and
+    complex128 otherwise: D(t) is real for real t. It is a transposed view
+    of an (ncols, rows, len(zs)) buffer, rows = max(dim, ncols): each
+    diagonal step writes one contiguous block, buf[n, n:] = t_n, and the
+    batch is the contiguous axis, so the upper triangle is copied one batch
+    row at a time. Both dtypes take the same steps; for real points every
+    product of the complex build has a zero imaginary part, so the real
+    block equals its real part bit for bit.
     """
-    zs = np.ascontiguousarray(zs, dtype=np.complex128)
+    dtype = np.float64 if np.isrealobj(zs) else np.complex128
+    zs = np.ascontiguousarray(zs, dtype=dtype)
     rows = max(dim, ncols)
-    buf = np.empty((ncols, rows, zs.shape[0]), np.complex128)
+    buf = np.empty((ncols, rows, zs.shape[0]), dtype)
     x = zs.real**2 + zs.imag**2
     steps = buf[0]
     steps[0] = np.exp(-0.5 * x)
@@ -178,9 +185,13 @@ def povm_grid_values(zs, s_dag, factor, weights, prefactor):
     u_n = s_dag @ D(z)|n>, evaluated for every z in the batch, and the state
     enters as a factor L (d x r) of rho = L L^H. With R = L^H s_dag
     (r x d), <u_n|rho|u_n> = |R c_n|^2 for the displacement column c_n, so
-    each point costs r products of length d per thermal term. The values
-    are sums of squares, hence never negative. The result has the shape of
-    ``zs``, a 1-D batch or a 2-D outcome grid.
+    each point costs r products of length d per thermal term, and
+    ``measurement._thermal_weights`` keeps only the terms whose weight
+    (1 - q) q^n is above 2^-53 of the first (the dropped ones move a value
+    by at most prefactor |q|^N). The values are sums of squares, hence
+    never negative while the weights are not; thermal weights are
+    non-negative for q >= 0. The result has the shape of ``zs``, a 1-D
+    batch or a 2-D outcome grid.
 
     A 2-D grid with an exact reflection of one axis or both (see
     ``_reflections``) builds columns for one half or one quadrant only, and
@@ -227,10 +238,22 @@ def smear_accumulate(disp_mats, weights, factor):
     and one GEMM gives the sum: the work scales with the rank r of the
     state. The copy is a no-op for the transposed blocks of the second
     mixture pass, which ``displacement_columns_batch`` builds in that order.
+    Real blocks, as a real smear step gives, are multiplied against the
+    stacked real and imaginary parts of L in one real GEMM, with no complex
+    copy of the blocks; the sums are those of the complex product, whose
+    blocks have zero imaginary parts.
     """
     m_out = disp_mats.shape[1]
     blocks = np.ascontiguousarray(disp_mats.transpose(1, 2, 0))   # [m, n, k]
-    out = np.matmul(factor.T, blocks)                             # [m, r, k]
+    if np.isrealobj(blocks):
+        r = factor.shape[1]
+        parts = np.concatenate([factor.real, factor.imag], axis=1)
+        prods = np.matmul(parts.T, blocks)                        # [m, 2r, k]
+        out = np.empty((m_out, r, blocks.shape[2]), np.complex128)
+        out.real = prods[:, :r]
+        out.imag = prods[:, r:]
+    else:
+        out = np.matmul(factor.T, blocks)                         # [m, r, k]
     out *= np.sqrt(weights)
     out = out.reshape(m_out, -1)
     return out @ out.conj().T, out

@@ -850,7 +850,8 @@ def _smear_blocks(xs, ys, rows, ncols):
     The diagonal recurrence keeps both bit for bit: for a real or imaginary
     t every product it takes has one zero part, and the patterns are exact
     multiplications by 1, i, -1 and -i. Equal steps, a symmetric smear,
-    take one build for both blocks.
+    take one build for both blocks. The steps are real, so the builds are
+    float64; the D(i ys) block is complex, and the D(-xs) block stays real.
     """
     base_y = _kernels.displacement_columns_batch(ys, rows, ncols)
     base_x = (base_y if np.array_equal(xs, ys)
@@ -879,6 +880,8 @@ def smeared_mixture(phi, f_spec="symmetric", grid: int = 41) -> DensityMatrix:
     replaces it. Both passes read their blocks off real displacements
     (``_smear_blocks``), bit for bit as direct builds of D(ib_v) and D(-a_u)
     would give them; a symmetric smear, wx = wy, takes one build for both.
+    D(-a_u) is real, and pass 2 multiplies it in real arithmetic, with the
+    same sums a complex build would take.
     The factoring is exact on an untruncated ladder, so the inner state
     lives on a longer ladder, padded by the reach of the wider smear. A
     smear that adds more photons, (wx^2 + wy^2)/4 on average, than the

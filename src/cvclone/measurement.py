@@ -34,6 +34,14 @@ it builds displacement columns for one quadrant (see
 ``_kernels.povm_grid_values``). Angles that miss pi/2 by more than the
 kernel's tolerance, such as theta - phi = 1.5707963, keep the z -> -z
 mirror only.
+
+The thermal sum over n, with weights (1 - q) q^n, stops at the least N with
+|q|^N <= 2^-53, capped at d (``_thermal_weights``). Below the cap, and for
+q >= 0, each density moves by at most prefactor q^N <= prefactor 2^-53,
+below 3.6e-17; a right angle at lam >= 3 keeps 2 to 4 terms. The densities
+are sums of squares, never negative for q >= 0; the cancellation in
+``thermal_base`` gives a q below 0 past lam ~ 6 (-1.1e-10 at lam = 8),
+and then the weights alternate in sign.
 """
 
 from __future__ import annotations
@@ -142,15 +150,23 @@ def _squeeze_dag(xi: complex, dim: int) -> np.ndarray:
 
 
 def _thermal_weights(params: PovmParams, dim: int) -> np.ndarray:
+    """The weights (1 - q) q^n, n < N, of the thermal sum, q = thermal_base.
+
+    N is the least count with |q|^N <= 2^-53, capped at dim, and 1 for
+    q = 0: the roundoff rule of ``fock._chebyshev_coefficients``. With
+    ||R|| <= 1 and ||c_n|| <= 1 in ``_kernels.povm_grid_values``, the
+    dropped terms move each density by at most
+    prefactor |q|^N (1 - q) / (1 - |q|), which is prefactor q^N for q >= 0.
+    A negative q, which only the cancellation in ``thermal_base`` gives
+    (-1.1e-10 at lam = 8, phi = 0; as low as -8e-7 between lam = 6.4 and
+    12), makes the weights alternate in sign.
+    """
     q = params.thermal_base
     if not -1.0 < q < 1.0:
         raise DomainError(f"thermal base {q} outside (-1, 1)")
-    if q <= 0:
-        nth = 8
-    else:
-        nth = max(8, int(math.log(1e-14) / math.log(q)) + 1)
-    nth = min(nth, dim)
-    return (1.0 - q) * q ** np.arange(nth)
+    nth = 1 if q == 0.0 else math.ceil(math.log(fock._UNIT_ROUNDOFF)
+                                       / math.log(abs(q)))
+    return (1.0 - q) * q ** np.arange(min(nth, dim))
 
 
 def povm_density(params: PovmParams, x: float, x_prime: float,

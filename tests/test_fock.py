@@ -887,6 +887,33 @@ def test_smeared_mixture_counts_its_displacement_builds(monkeypatch, f_spec,
     assert seen == [41] * builds
 
 
+@pytest.mark.parametrize("f_spec", ["symmetric", {"sigma": 0.5},
+                                    {"sigma": 1.5}, {"sigma": 3},
+                                    {"width": 0.05}, {"width": 2.0}])
+def test_real_smear_steps_give_the_complex_build_bit_for_bit(monkeypatch,
+                                                             f_spec):
+    # real steps build real blocks, and the second pass multiplies them in
+    # real arithmetic; a build forced through complex steps gives the same
+    # mixture to the last bit
+    batch = _kernels.displacement_columns_batch
+
+    def complex_batch(zs, dim, ncols):
+        return batch(np.asarray(zs, dtype=np.complex128), dim, ncols)
+
+    for dim in (8, 16, 24, 32):
+        for alpha in (0.4 - 0.3j, 1 + 0.5j):
+            base = fock.coherent_fock(alpha, dim)
+            try:
+                real = fock.smeared_mixture(base, f_spec).matrix
+            except GridTooCoarseError:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "displacement_columns_batch",
+                              complex_batch)
+                forced = fock.smeared_mixture(base, f_spec).matrix
+            assert np.array_equal(real, forced)
+
+
 def _full_grid_mixture(rho, wx, wy, grid):
     """Unnormalized sum of w D(z) rho D(z)^dag over every node of the grid."""
     nodes, wts = hermgauss(grid)

@@ -224,3 +224,44 @@ def test_povm_grid_values_mirror_batch_against_loop():
                                 weights).real
                 assert got[k] == pytest.approx(0.42 * acc, rel=1e-12,
                                                abs=1e-15)
+
+
+@pytest.mark.parametrize("dim,ncols", [(12, 1), (12, 12), (30, 8), (8, 30),
+                                       (64, 64)])
+def test_real_points_build_the_real_part_of_the_complex_block(dim, ncols):
+    # D(t) is real for real t: the float64 build takes the complex build's
+    # steps with zero imaginary parts, so the two agree to the last bit
+    rng = np.random.default_rng(dim + ncols)
+    ts = np.concatenate([[0.0, -0.0, 1e-8, -6.0], 2.5 * rng.normal(size=33)])
+    got = _kernels.displacement_columns_batch(ts, dim, ncols)
+    full = _kernels.displacement_columns_batch(ts.astype(np.complex128), dim,
+                                               ncols)
+    assert got.dtype == np.float64 and full.dtype == np.complex128
+    assert got.shape == full.shape == (len(ts), dim, ncols)
+    assert np.array_equal(got, full.real)
+    assert np.all(full.imag == 0.0)
+
+
+@pytest.mark.parametrize("ncols", [5, 11])
+def test_smear_accumulate_real_blocks_equal_complex_ones(ncols):
+    # a real block takes one real GEMM against [Re L, Im L]; for a factor of
+    # two or more columns, as the second smear pass gets, it gives the
+    # complex GEMM of the same block bit for bit. numpy takes a single
+    # column through a complex GEMV, whose sums round apart (1e-16).
+    rng = np.random.default_rng(ncols)
+    ts = rng.normal(size=6)
+    wts = rng.random(6)
+    mats = _kernels.displacement_columns_batch(ts, 11, ncols)
+    for blocks in (mats, mats.transpose(0, 2, 1)):
+        for factor in _factors(rng, blocks.shape[2], (1, 2, blocks.shape[2])):
+            got, out = _kernels.smear_accumulate(blocks, wts, factor)
+            expect, expect_out = _kernels.smear_accumulate(
+                blocks.astype(np.complex128), wts, factor)
+            assert got.dtype == out.dtype == np.complex128
+            if factor.shape[1] == 1:
+                np.testing.assert_allclose(out, expect_out, rtol=0,
+                                           atol=1e-15)
+                np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+            else:
+                assert np.array_equal(out, expect_out)
+                assert np.array_equal(got, expect)

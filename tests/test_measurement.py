@@ -84,6 +84,86 @@ def test_out_of_range_thermal_base_fails_loudly():
         measurement.povm_density(bad, 0.1, 0.2, fock.coherent_fock(0j, 12))
 
 
+@pytest.mark.parametrize("lam,count", [(3.0, 4), (4.0, 3), (6.0, 2),
+                                       (8.0, 2), (12.0, 3)])
+def test_thermal_sum_stops_at_the_unit_roundoff(lam, count):
+    # N is the least count with |q|^N <= 2^-53; a 1e-14 cut would keep
+    # 3 terms at lam = 3 and move printed densities in the 12th digit
+    p = measurement.povm_params(lam, 0.0, RIGHT)
+    q = p.thermal_base
+    weights = measurement._thermal_weights(p, 32)
+    assert len(weights) == count
+    assert abs(q) ** count <= 2.0 ** -53 < abs(q) ** (count - 1)
+    np.testing.assert_array_equal(weights, (1.0 - q) * q ** np.arange(count))
+
+
+def test_thermal_sum_keeps_every_level_at_an_oblique_angle():
+    p = measurement.povm_params(3.0, 0.0, 0.2)
+    assert len(measurement._thermal_weights(p, 16)) == 16
+
+
+def test_a_zero_thermal_base_keeps_one_term():
+    p = dataclasses.replace(_params3(), thermal_base=0.0)
+    np.testing.assert_array_equal(measurement._thermal_weights(p, 16), [1.0])
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+@pytest.mark.parametrize("lam", [3.0, 3.5, 4.0, 6.0, 8.0])
+def test_cut_thermal_sum_moves_densities_by_at_most_its_tail(lam, dim):
+    # against the same grid summed over all dim thermal weights, each
+    # density moves by at most prefactor |q|^N (1 - q) / (1 - |q|), which
+    # is prefactor q^N for q >= 0, plus rounding: the kernel sums the real
+    # and imaginary squares apart, adds the two and scales the sum, and
+    # each step may round the two grids apart (2 ulp measured at lam = 3.5,
+    # d = 16, on a density of 5.3e-3)
+    p = measurement.povm_params(lam, 0.0, RIGHT)
+    q = p.thermal_base
+    probe = fock.coherent_fock(1 + 0.5j, dim)
+    xs = np.linspace(-6.0, 6.0, 41)
+    cut = measurement.povm_density_grid(p, xs, xs, probe)
+    nth = len(measurement._thermal_weights(p, dim))
+    gx, gp = np.meshgrid(xs, xs, indexing="ij")
+    full = _kernels.povm_grid_values(
+        p.alpha_of(gx, gp) * p.delta, measurement._squeeze_dag(p.xi, dim),
+        fock._factor(probe), (1.0 - q) * q ** np.arange(dim), p.prefactor)
+    bound = p.prefactor * abs(q) ** nth * (1.0 - q) / (1.0 - abs(q))
+    assert np.all(np.abs(cut - full) <= bound + 4.0 * np.spacing(full))
+
+
+def _thermal_base_reference(mp, lam):
+    """thermal_base at phi = 0, theta = pi/2 in 60-digit arithmetic."""
+    with mp.workdps(60):
+        lam = mp.mpf(lam)
+        eps = -2 * mp.exp(-lam)
+        lamp = lam - mp.atanh(mp.mpf(1) / 3)
+        sh_e, ch_e = mp.sinh(eps), mp.cosh(eps)
+        sh_lp, ch_lp = mp.sinh(lamp), mp.cosh(lamp)
+        sh_l, ch_l = mp.sinh(lam), mp.cosh(lam)
+        cbig = (sh_e * sh_lp) ** 2 + sh_e ** 2 / 2
+        dbig = ((ch_l * ch_lp - sh_l * ch_e * sh_lp) ** 2
+                + (sh_l * sh_e) ** 2 / 2 - mp.mpf(1) / 2)
+        root = mp.sqrt(cbig * dbig)          # E = 0 at a right angle
+        common = 1j * sh_l * sh_e * cbig / (4 * root)
+        beta = 1j * ch_e / 4 + common
+        gamma = -1j * ch_e / 4 + common
+        cd2 = cbig / (abs(gamma) ** 2 - abs(beta) ** 2)
+        return float((cd2 - 2) / (cd2 + 2))
+
+
+@pytest.mark.xfail(strict=True, reason="thermal_base cancels in "
+                   "(C|delta|^2 - 2)/(C|delta|^2 + 2) past lam ~ 6; the fix "
+                   "re-pins povm output and waits for its own change, "
+                   "'Accurate thermal base at large coupling'")
+def test_thermal_base_matches_high_precision_reference():
+    # measured: 4.99e-11 against 5.14e-11 at lam = 6, -1.10e-10 against
+    # 1.72e-14 at lam = 8, 5.39e-7 against 1.94e-21 at lam = 12
+    mp = pytest.importorskip("mpmath")
+    for lam in (6.0, 8.0, 10.0, 12.0):
+        got = measurement.povm_params(lam, 0.0, RIGHT).thermal_base
+        expect = _thermal_base_reference(mp, lam)
+        assert abs(got - expect) <= 1e-6 * abs(expect), (lam, got, expect)
+
+
 def test_right_angle_density_reproduces_simulation():
     lam, alpha = 3.0, 0.7 + 0.3j
     p = _params3()
