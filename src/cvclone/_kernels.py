@@ -26,8 +26,8 @@ digits as the blocks grew: it was off by 1e-7 on the 32 x 32 block and by
 The recurrence also keeps three symmetries of the elements exactly, bit for
 bit: D(conj z) = conj D(z), D(i t) = i^(m-n) D(t) for real t, and
 D(-z) = (-1)^(m+n) D(z). With D(e^(i phi) z) = R D(z) R^dag,
-R = diag(e^(i m phi)), they let ``povm_grid_values`` build one quadrant of a
-right-angle outcome grid and ``fock.smeared_mixture`` one block for both
+R = diag(e^(i m phi)), they let ``povm_grid_values`` build one quadrant or
+one half of an outcome grid and ``fock.smeared_mixture`` one block for both
 passes of a symmetric smear. For real t, D(t) is real, and the recurrence
 builds it in float64: the smear's steps are real, and its second pass
 multiplies the real blocks in real arithmetic.
@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative tolerance of the z -> -z grid check: 16 ulp of max|z|.
+# Relative tolerance of every reflection check of a grid (row, column and
+# z -> -z): 16 ulp of max|z|. linspace leaves a symmetric axis 1-3 ulp off
+# (measured up to 2.7 ulp of max|z|).
 _MIRROR_TOL = 16 * np.finfo(np.float64).eps
 
 
@@ -77,29 +79,17 @@ def displacement_columns_batch(zs, dim, ncols):
     return buf[:, :dim].transpose(2, 1, 0)
 
 
-def _mirror_half(zs):
-    """ceil(B/2) if zs[::-1] == -zs to within a few ulp of max|z|, else None.
-
-    The outcome grid of two axes each symmetric about 0 has this form, also
-    when linspace leaves it 1-3 ulp off (measured up to 2.7 ulp of max|z|).
-    """
-    scale = np.abs(zs).max(initial=0.0)
-    gap = np.abs(zs + zs[::-1]).max(initial=0.0)
-    # a NaN or inf compares False either way, so require the bound to hold
-    if not (np.isfinite(scale) and gap <= _MIRROR_TOL * scale):
-        return None
-    return (zs.shape[0] + 1) // 2
-
-
 def _reflections(zs):
     """(rows, cols, phase) for the exact reflections of a 2-D batch, or None.
 
     rows: zs[::-1] = ph conj(zs); cols: zs[:, ::-1] = -ph conj(zs), with
-    ph = e^(i phase), each within _MIRROR_TOL of max|z| and only on an axis
-    of two or more points. Both are claimed only if zs[::-1, ::-1] = -zs holds
-    too. An outcome grid z = delta w(x, x') at an exact right angle has
-    w(-x, x') = conj w(x, x'), so all three hold with ph = delta / conj(delta),
-    which is read off the grid's largest point and its two images.
+    ph = e^(i phase), each only on an axis of two or more points; the point
+    mirror zs[::-1, ::-1] = -zs. Each holds within _MIRROR_TOL of max|z|,
+    and both axes are claimed only with the point mirror. An outcome grid
+    z = delta w(x, x') at an exact right angle has w(-x, x') = conj w(x, x'),
+    so all three hold with ph = delta / conj(delta), read off the grid's
+    largest point and its two images. Off a right angle the point mirror
+    alone can hold, the plan (False, False, phase). A NaN or inf has none.
     """
     mags = np.abs(zs)
     scale = mags.max()
@@ -114,9 +104,10 @@ def _reflections(zs):
         zs[::-1] - np.exp(1j * row_phase) * zs.conj()).max() <= tol)
     cols = (zs.shape[1] > 1 and np.abs(
         zs[:, ::-1] + np.exp(1j * col_phase) * zs.conj()).max() <= tol)
-    if rows and cols and not np.abs(zs[::-1, ::-1] + zs).max() <= tol:
+    point = np.abs(zs[::-1, ::-1] + zs).max() <= tol
+    if rows and cols and not point:
         cols = False
-    if not (rows or cols):
+    if not (rows or cols or point):
         return None
     return rows, cols, row_phase if rows else col_phase
 
@@ -147,16 +138,22 @@ def _reflected_grid(zs, reflections, rows, weights):
     With Phi = diag(conj(ph)^m), <m|D(ph conj(z))|n> =
     ph^(m-n) conj(<m|D(z)|n>), and the phase ph^-n of a column drops out of
     |.|^2, so value(ph conj(z)) = sum_n w_n |conj(R) Phi c_n(z)|^2. The
-    image -ph conj(z) of the other axis takes conj(R) Phi P, and -z takes
-    R P. The kept block is the first ceil(n/2) points of each reflected axis.
+    image -ph conj(z) of the other axis takes conj(R) Phi P, and with
+    P = diag((-1)^m), D(-z) = P D(z) P, so -z takes R P. The kept block is
+    the first ceil(n/2) points of each reflected axis. The point mirror
+    alone is the row reflection of the flat batch as one column, read by
+    R P; its values come back in that (N, 1) shape.
     """
     flip_rows, flip_cols, phase = reflections
+    levels = np.arange(rows.shape[1])
+    parity = (-1.0) ** levels
+    if flip_rows or flip_cols:
+        turned = rows.conj() * np.exp(-1j * phase * levels)  # conj(R) Phi
+    else:                                                    # z -> -z only
+        zs, flip_rows, turned = zs.reshape(-1, 1), True, rows * parity
     n, n2 = zs.shape
     h = (n + 1) // 2 if flip_rows else n
     h2 = (n2 + 1) // 2 if flip_cols else n2
-    levels = np.arange(rows.shape[1])
-    parity = (-1.0) ** levels
-    turned = rows.conj() * np.exp(-1j * phase * levels)     # conj(R) Phi
     blocks = [rows]
     if flip_rows and flip_cols:
         blocks.append(rows * parity)                         # z -> -z
@@ -193,37 +190,23 @@ def povm_grid_values(zs, s_dag, factor, weights, prefactor):
     non-negative for q >= 0. The result has the shape of ``zs``, a 1-D
     batch or a 2-D outcome grid.
 
-    A 2-D grid with an exact reflection of one axis or both (see
-    ``_reflections``) builds columns for one half or one quadrant only, and
-    reads the other points off stacked row blocks (``_reflected_grid``).
-    Any other batch is taken flat. A mirror-symmetric one (zs[::-1] = -zs)
-    builds columns for its first half only. With P = diag((-1)^m),
-    D(-z) = P D(z) P, so the columns of -z are (-1)^n P c_n(z) and
-    value(-z) = sum_n w_n |R P c_n(z)|^2: the mirrored half is the same
-    columns against R P, stacked under R.
+    Every batch, a 1-D one as a grid of one column, goes through one
+    planner: with a row, column or point reflection (``_reflections``) it
+    builds columns for one quadrant or one half only and reads the other
+    points off stacked row blocks (``_reflected_grid``); with none it
+    builds the columns of every point.
     """
     zs = np.asarray(zs, dtype=np.complex128)
     if zs.size == 0:
         return np.zeros(zs.shape)
-    dim = s_dag.shape[0]
     rows = factor.conj().T @ s_dag                              # R, r x d
-    if zs.ndim == 2:
-        reflections = _reflections(zs)
-        if reflections is not None:
-            return prefactor * _reflected_grid(zs, reflections, rows,
-                                               weights)
-    shape = zs.shape
-    zs = zs.ravel()
-    total = zs.shape[0]
-    half = _mirror_half(zs)
-    if half is not None:
-        rows = np.concatenate([rows, rows * (-1.0) ** np.arange(dim)])
-        zs = zs[:half]
-    q = _weighted_norms(zs, rows, 1 if half is None else 2, weights)
-    vals = q[0]
-    if half is not None:
-        vals = np.concatenate([vals, q[1][: total - half][::-1]])
-    return (prefactor * vals).reshape(shape)
+    grid = zs.reshape(zs.shape[0], -1)
+    reflections = _reflections(grid)
+    if reflections is None:
+        vals = _weighted_norms(grid.ravel(), rows, 1, weights)[0]
+    else:
+        vals = _reflected_grid(grid, reflections, rows, weights)
+    return (prefactor * vals).reshape(zs.shape)
 
 
 def smear_accumulate(disp_mats, weights, factor):

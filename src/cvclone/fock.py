@@ -151,7 +151,12 @@ def vacuum_fock(dims) -> FockVector:
 
 
 def _finite_amplitude(value) -> complex:
-    alpha = complex(value)
+    """A coherent amplitude as a complex, refused unless a finite number."""
+    try:
+        alpha = complex(value)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            f"coherent amplitude {value!r} is not finite") from None
     if not cmath.isfinite(alpha):
         raise InvalidArgumentError(f"coherent amplitude {alpha} is not finite")
     return alpha
@@ -162,9 +167,10 @@ def coherent_fock(alpha: complex, dim: int) -> FockVector:
 
     The norm the truncation drops, 1 - e^(-|alpha|^2) sum_n |alpha^n|^2 / n!
     over n < dim, meets the guard-band policy: a TruncationWarning above 1e-3,
-    a TruncationOverflowError above 1e-2. A non-finite alpha is refused.
+    a TruncationOverflowError above 1e-2. An alpha is read as ``run_cloner``
+    reads it, and refused unless it is a finite number.
     """
-    _finite_amplitude(alpha)
+    alpha = _finite_amplitude(alpha)
     (dim,) = _mode_dims((dim,))
     amps = np.empty(dim, np.complex128)
     amps[0] = 1.0
@@ -480,7 +486,7 @@ def _finite_strength(value) -> float:
     """A gate strength as a float, refused unless real and finite."""
     try:
         strength = float(value)
-    except TypeError:
+    except (TypeError, ValueError):
         raise InvalidArgumentError(
             f"gate strength must be real, got {value!r}") from None
     if not math.isfinite(strength):
@@ -488,34 +494,9 @@ def _finite_strength(value) -> float:
     return strength
 
 
-def _chain_stack(kind: str, d_i: int, d_j: int) -> tuple:
-    """The chains of ``pair_generator(kind, (d_i, d_j), 0, 1)`` (see
-    ``_pair_chains``): the stack of symmetric S, padded to a common
-    length, then the chain and position of each flat (n_i, n_j) index, and
-    the length of each chain."""
-    gen = pair_generator(kind, (d_i, d_j), 0, 1)
-    n_i, n_j = np.divmod(np.arange(d_i * d_j), d_j)
-    chain = n_i - n_j if kind == "squeezer" else n_i + n_j
-    chain -= chain.min()
-    counts = np.bincount(chain)
-    # positions count n_i up from its lowest value on the chain
-    low = np.full(counts.size, d_i)
-    np.minimum.at(low, chain, n_i)
-    pos = n_i - low[chain]
-    # G[r, c] = data[c] on the diagonal at offset c - r: S keeps it above
-    # the chain's diagonal and flips its sign below
-    length = int(counts.max())
-    sym = np.zeros((counts.size, length, length))
-    for offset, data in zip(gen.offsets, _full_width(gen)):
-        col = np.flatnonzero(data)
-        row, col = pos[col - offset], col
-        sym[chain[col], row, pos[col]] = np.where(
-            pos[col] > row, data[col], -data[col])
-    return sym, chain, pos, counts
-
-
-# verify uses three tables: the squeezer at d = 8, squeezer and splitter at 25
-@functools.lru_cache(maxsize=8)
+# two tables per truncation, squeezer and splitter: fock_clone runs
+# truncations 12-25, verify the squeezer at d = 8 and both at 25
+@functools.lru_cache(maxsize=16)
 def _pair_chains(kind: str, d_i: int, d_j: int) -> tuple:
     """``pair_generator(kind, (d_i, d_j), 0, 1)`` as a stack of chains.
 
@@ -539,10 +520,28 @@ def _pair_chains(kind: str, d_i: int, d_j: int) -> tuple:
     Returns the eigenvalues (chains, L), R (chains, L, L), the (L, L)
     patterns same and cross, the flat (n_i, n_j) index read into each
     (chain, position), padding reading index 0, and the (chain, position)
-    slot written back to each flat index.
+    slot written back to each flat index. The generator on any dims is a
+    direct sum of copies of these chains, one per spectator level, so its
+    2-norm is the largest |eigenvalue| (``_merged_factor``).
     """
-    sym, chain, pos, counts = _chain_stack(kind, d_i, d_j)
-    length = sym.shape[1]
+    gen = pair_generator(kind, (d_i, d_j), 0, 1)
+    n_i, n_j = np.divmod(np.arange(d_i * d_j), d_j)
+    chain = n_i - n_j if kind == "squeezer" else n_i + n_j
+    chain -= chain.min()
+    counts = np.bincount(chain)
+    # positions count n_i up from its lowest value on the chain
+    low = np.full(counts.size, d_i)
+    np.minimum.at(low, chain, n_i)
+    pos = n_i - low[chain]
+    # G[r, c] = data[c] on the diagonal at offset c - r: S keeps it above
+    # the chain's diagonal and flips its sign below
+    length = int(counts.max())
+    sym = np.zeros((counts.size, length, length))
+    for offset, data in zip(gen.offsets, _full_width(gen)):
+        col = np.flatnonzero(data)
+        row, col = pos[col - offset], col
+        sym[chain[col], row, pos[col]] = np.where(
+            pos[col] > row, data[col], -data[col])
     scatter = chain * length + pos
     gather = np.zeros(counts.size * length, np.intp)
     gather[scatter] = np.arange(chain.size)
@@ -558,27 +557,6 @@ def _pair_chains(kind: str, d_i: int, d_j: int) -> tuple:
     for arr in table:
         arr.flags.writeable = False         # the cache shares them
     return table
-
-
-# fock_clone's five truncations need ten norms, more tables than
-# _pair_chains keeps, so each norm is cached on its own
-@functools.lru_cache(maxsize=16)
-def _pair_norm(kind: str, d_i: int, d_j: int) -> float:
-    """||pair_generator(kind, dims, i, j)||_2 for dims[i], dims[j] = d_i, d_j.
-
-    The generator is a direct sum of copies of its two-mode chains, one per
-    spectator level, so its 2-norm is their largest |eigenvalue|. They come
-    from the solver of ``_pair_chains``, so they match its table's to the
-    bit, and the table itself is not kept.
-    """
-    return float(np.abs(np.linalg.eigh(
-        _chain_stack(kind, d_i, d_j)[0])[0]).max())
-
-
-def _network_norm(kind: str, dims: tuple) -> float:
-    """||build_generator(kind, dims)||_2, from the chain spectra."""
-    pair, i, j = _network_pair(kind)
-    return _pair_norm(pair, dims[i], dims[j])
 
 
 def pair_expm_apply(kind: str, dims, i: int, j: int, strength: float,
@@ -645,8 +623,9 @@ def _merged_factor(dims: tuple, s2: float, s3: float) -> tuple:
     ||K||_2 that scales its Chebyshev sum.
 
     A and B lie on distinct diagonals, so K stacks their scaled full-width
-    data. The triangle bound is 0.79-0.85 of ||K||_1, and the slack, far
-    above the roundoff of the chain eigenvalues, keeps it a bound.
+    data. Each norm is the largest |eigenvalue| of its pair's chain table
+    (``_pair_chains``). The triangle bound is 0.79-0.85 of ||K||_1, and the
+    slack, far above the roundoff of those eigenvalues, keeps it a bound.
     """
     import scipy.sparse as sp
 
@@ -655,8 +634,9 @@ def _merged_factor(dims: tuple, s2: float, s3: float) -> tuple:
     mixed = sp.dia_matrix((np.concatenate((a.data * c1, b.data * c2)),
                            np.concatenate((a.offsets, b.offsets))),
                           shape=a.shape)
-    bound = (abs(c1) * _network_norm("A", dims)
-             + abs(c2) * _network_norm("B", dims)) * (1.0 + 1e-12)
+    norms = [float(np.abs(_pair_chains(pair, dims[i], dims[j])[0]).max())
+             for pair, i, j in map(_network_pair, "AB")]
+    bound = (abs(c1) * norms[0] + abs(c2) * norms[1]) * (1.0 + 1e-12)
     return mixed, bound
 
 

@@ -32,8 +32,9 @@ symmetric about 0 then maps each displacement to a phase times its
 conjugate, and ``povm_density_grid`` hands the kernel the 2-D grid so that
 it builds displacement columns for one quadrant (see
 ``_kernels.povm_grid_values``). Angles that miss pi/2 by more than the
-kernel's tolerance, such as theta - phi = 1.5707963, keep the z -> -z
-mirror only.
+kernel's tolerance, such as theta - phi = 1.5707963, and oblique angles
+keep only the point mirror z -> -z of a grid with both axes symmetric about
+0; the same planner then builds columns for half the points.
 
 The thermal sum over n, with weights (1 - q) q^n, stops at the least N with
 |q|^N <= 2^-53, capped at d (``_thermal_weights``). Below the cap, and for

@@ -71,15 +71,24 @@ class CloneResult:
 
 def check_lambda(lam: float, name: str = "lam") -> None:
     """Refuse a coupling outside (0, LAMBDA_CAP], NaN included; ``name``
-    labels the message. This and the two checks below own their domains."""
-    if not 0.0 < lam <= LAMBDA_CAP:
+    labels the message. This and the two checks below own their domains;
+    a value that is not a real number is refused with the same message."""
+    try:
+        inside = 0.0 < lam <= LAMBDA_CAP
+    except (TypeError, ValueError):
+        inside = False
+    if not inside:
         raise InvalidArgumentError(f"{name} must lie in (0, {LAMBDA_CAP:g}]")
 
 
 def check_sigma(sigma: float) -> None:
-    """Refuse a preparation width outside SIGMA_RANGE."""
+    """Refuse a preparation width outside SIGMA_RANGE, or not a number."""
     lo, hi = SIGMA_RANGE
-    if not lo <= sigma <= hi:
+    try:
+        inside = lo <= sigma <= hi
+    except (TypeError, ValueError):
+        inside = False
+    if not inside:
         raise InvalidArgumentError(f"sigma must lie in [{lo:g}, {hi:g}]")
 
 

@@ -713,9 +713,10 @@ def test_fock_clone_stdout_is_pinned(args, capsys):
 
 
 # povm stdout, as SHA-256 of its bytes, for the grids that have no exact
-# reflection: theta = 1.5707963 misses the right angle by E = 5.6e-11, past
-# the reflection tolerance, and theta = 0.2 is oblique. Both keep the flat
-# z -> -z mirror, so not one byte may move.
+# row or column reflection: theta = 1.5707963 misses the right angle by
+# E = 5.6e-11, past the reflection tolerance, and theta = 0.2 is oblique.
+# Both take the point mirror z -> -z of the flat batch, so not one byte may
+# move.
 POVM_STDOUT_SHA256 = {
     ("--lambda", "3", "--phi", "0", "--theta", "1.5707963",
      "--grid", "41,4.0"):

@@ -26,6 +26,9 @@ def test_coherent_series():
     raw = raw / np.linalg.norm(raw)
     np.testing.assert_allclose(vec.amplitudes, raw, atol=1e-14)
     assert vec.norm() == pytest.approx(1.0, abs=1e-14)
+    # the amplitude is read as run_cloner reads it, a string included
+    parsed = fock.coherent_fock("0.6-0.3j", 18)
+    np.testing.assert_array_equal(parsed.amplitudes, vec.amplitudes)
 
 
 def test_coherent_truncation_policy():
@@ -88,9 +91,10 @@ def test_lowering_operator_shares_the_mode_dimension_rule(dim):
 
 
 @pytest.mark.parametrize("alpha", [complex("nan"), complex(0.0, math.inf),
-                                   -math.inf, math.nan])
+                                   -math.inf, math.nan, None, "x"])
 def test_coherent_fock_refuses_non_finite_amplitude(alpha):
-    # NaN once surfaced as a TruncationOverflowError advising more levels
+    # NaN once surfaced as a TruncationOverflowError advising more levels;
+    # a non-number once raised a bare TypeError or ValueError
     with pytest.raises(InvalidArgumentError, match="is not finite"):
         fock.coherent_fock(alpha, 16)
 
@@ -643,7 +647,8 @@ def test_pair_expm_apply_validation():
                                  ("mixer", 0, 1, 0.1),
                                  ("squeezer", 0, 1, math.nan),
                                  ("splitter", 0, 1, math.inf),
-                                 ("squeezer", 0, 1, 0.1j)):
+                                 ("squeezer", 0, 1, 0.1j),
+                                 ("splitter", 0, 1, "x")):
         with pytest.raises(InvalidArgumentError):
             fock.pair_expm_apply(kind, (4, 4, 4), i, j, strength, vec)
     with pytest.raises(InvalidArgumentError):

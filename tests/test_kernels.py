@@ -211,11 +211,17 @@ def test_povm_grid_values_mirror_batch_against_loop():
     weights = 0.7 * 0.3 ** np.arange(6)
     for factor in _factors(rng, dim, (1, 4, dim)):
         rho = factor @ factor.conj().T
+        batches = []
         for count in (9, 10):                    # with and without z = 0
             half = (rng.normal(size=count // 2)
                     + 1j * rng.normal(size=count // 2))
             middle = [0j] if count % 2 else []
-            zs = np.concatenate([half, middle, -half[::-1]])
+            batches.append(np.concatenate([half, middle, -half[::-1]]))
+        # a pair z, -z and a real mirror batch lie on a line through 0, so
+        # the planner takes each as the row reflection of a one-column grid
+        pair = rng.normal() + 1j * rng.normal()
+        batches += [np.array([pair, -pair]), np.linspace(-2.5, 2.5, 11)]
+        for zs in batches:
             got = _kernels.povm_grid_values(zs, s_dag, factor, weights, 0.42)
             for k, z in enumerate(zs):
                 cols = _columns(z, dim, len(weights))

@@ -351,13 +351,15 @@ def _density_loop(params, xs, xps, state):
     (np.linspace(-4.0, 5.0, 23), np.linspace(-5.0, 5.0, 17)),   # asymmetric
 ])
 def test_density_grid_matches_point_loop(xs, xps):
-    # a displaced input has parity-flipping coherences, so p(z) != p(-z)
-    p = measurement.povm_params(4.0, 0.6, 0.6 + RIGHT)
+    # a displaced input has parity-flipping coherences, so p(z) != p(-z);
+    # at the oblique angle a symmetric grid has the point mirror only
     vec = fock.coherent_fock(0.5 - 0.3j, 14)
-    got = measurement.povm_density_grid(p, xs, xps, vec)
-    expect = _density_loop(p, xs, xps, vec)
-    assert np.abs(got - expect).max() < 1e-14
-    assert np.abs(got - got[::-1, ::-1]).max() > 1e-3
+    for angle in (RIGHT, 1.2):
+        p = measurement.povm_params(4.0, 0.6, 0.6 + angle)
+        got = measurement.povm_density_grid(p, xs, xps, vec)
+        expect = _density_loop(p, xs, xps, vec)
+        assert np.abs(got - expect).max() < 1e-14
+        assert np.abs(got - got[::-1, ::-1]).max() > 1e-3
 
 
 @pytest.mark.parametrize("xs", [
@@ -426,10 +428,13 @@ def test_grids_without_a_reflection_build_the_mirror_half(monkeypatch,
                                                           theta):
     # off an exact right angle only z -> -z maps the grid onto itself
     seen = _counting_columns(monkeypatch)
-    xs = np.linspace(-5.0, 5.0, 41)
-    measurement.povm_density_grid(measurement.povm_params(3.0, 0.0, theta),
-                                  xs, xs, fock.coherent_fock(0.3, 12))
-    assert seen == [841]
+    for n, points in ((41, 841), (40, 800)):
+        seen.clear()
+        xs = np.linspace(-5.0, 5.0, n)
+        measurement.povm_density_grid(
+            measurement.povm_params(3.0, 0.0, theta), xs, xs,
+            fock.coherent_fock(0.3, 12))
+        assert seen == [points]
 
 
 @pytest.mark.parametrize("phi", [0.6, 2.3])
@@ -529,7 +534,7 @@ def test_coefficient_rows_refuse_non_finite_coupling(lam):
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0,
-                                 12.5])
+                                 12.5, "3", None])
 def test_closed_forms_refuse_coupling_outside_the_network_range(lam):
     # povm_params(nan, ...) once returned a bundle of NaNs, and past
     # lam = 12 its discriminant is roundoff

@@ -358,7 +358,7 @@ def test_fock_run_refuses_truncation_below_two(truncation):
                            backend="fock", truncation=truncation)
 
 
-OFF_LAMBDAS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 12.5]
+OFF_LAMBDAS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 12.5, "2", None]
 
 
 @pytest.mark.parametrize("lam", OFF_LAMBDAS)
@@ -368,7 +368,7 @@ def test_network_refuses_coupling_outside_its_range(lam):
         network.network_from_lambda(lam)
 
 
-@pytest.mark.parametrize("sigma", [math.nan, 0.2, 4.5])
+@pytest.mark.parametrize("sigma", [math.nan, 0.2, 4.5, "1"])
 def test_network_refuses_width_outside_its_range(sigma):
     with pytest.raises(InvalidArgumentError,
                        match=r"^sigma must lie in \[0.25, 4\]$"):
@@ -377,7 +377,8 @@ def test_network_refuses_width_outside_its_range(sigma):
 
 @pytest.mark.parametrize("backend", ["gaussian", "fock"])
 @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0),
-                                   complex(0.0, math.inf), -math.inf])
+                                   complex(0.0, math.inf), -math.inf, None,
+                                   "x"])
 def test_run_cloner_refuses_non_finite_amplitude(alpha, backend):
     spec = network.network_from_lambda(3.0)
     with pytest.raises(InvalidArgumentError, match="not finite"):
